@@ -1,22 +1,24 @@
 //! `terp-persist` — durability benchmark for the file-backed PMO store
 //! (DESIGN.md §10).
 //!
-//! Four experiments, all landing in `results/BENCH_persist.json`:
+//! Three experiments, all landing in `results/BENCH_persist.json`:
 //!
 //! 1. **Durable vs in-memory service throughput** — the same closed-loop
 //!    attach/data/detach workload as `terp-serve`, run against a purely
-//!    in-memory TERP-full service and against durable services under each
-//!    fsync policy (`os`, `group`, `always`) plus the pipelined `async`
-//!    writer, so the journaling overhead is directly comparable.
+//!    in-memory TERP-full service and against a durable one (pipelined log
+//!    writer, automatic checkpoints every `CHECKPOINT_EVERY` records per
+//!    shard), so the journaling overhead is directly comparable. The
+//!    durable row also reports how many checkpoints the run took.
 //! 2. **Commit latency** — per-write submit→durable latency percentiles
-//!    (p50/p95/p99) under `visibility = durable`, per durable mode: what a
-//!    caller actually waits when it demands durability before the ack.
-//! 3. **Group-commit batch sweep** — durable throughput as the group-commit
-//!    batch grows (1 ≈ fsync-per-record, up to 256), the paper-style
-//!    latency/durability trade.
-//! 4. **Recovery time vs log length** — un-checkpointed WALs of increasing
+//!    (p50/p95/p99) under `visibility = durable`: what a caller actually
+//!    waits when it demands durability before the ack.
+//! 3. **Recovery time vs log length** — un-checkpointed WALs of increasing
 //!    record counts are re-opened through full recovery (replay, rollback,
 //!    window resealing), reporting wall-clock recovery latency per length.
+//! 4. **Checkpoint hold time** — how long `DurableStore::start_checkpoint`
+//!    (which the service calls under the shard lock) holds its caller for
+//!    one fully resident pool of the bench's largest size: a one-page
+//!    incremental checkpoint, and a compacting one that copies every page.
 //!
 //! ```text
 //! terp-persist --threads 4 --duration-ms 400 --recovery-scale 2
@@ -29,11 +31,9 @@ use std::time::{Duration, Instant};
 use terp_analysis::Json;
 use terp_bench::cli::Cli;
 use terp_core::config::Scheme;
-use terp_persist::{DurableStore, FsyncPolicy, WalMode, WalRecord};
-use terp_pmo::{OpenMode, Permission, PmoId};
-use terp_service::{
-    CostModel, DurableConfig, LatencyHistogram, PmoServer, PmoService, ServiceConfig, Visibility,
-};
+use terp_persist::{DurableStore, WalRecord, WalWriter, CHECKPOINT_EVERY, CKPT_FILE, WAL_FILE};
+use terp_pmo::{OpenMode, Permission, PmoId, PmoRegistry, PAGE_SIZE};
+use terp_service::{CostModel, LatencyHistogram, PmoServer, PmoService, ServiceConfig, Visibility};
 
 struct RunSettings {
     threads: usize,
@@ -75,19 +75,20 @@ fn worker(svc: &PmoService, tid: usize, pools: &[PmoId], deadline: Instant, roun
     ops
 }
 
-/// Runs the closed-loop workload against one service configuration and
-/// returns `(total ops, elapsed seconds)`.
-fn run_mode(durable: Option<DurableConfig>, s: &RunSettings) -> (u64, f64) {
-    if let Some(d) = &durable {
-        let _ = std::fs::remove_dir_all(&d.dir);
+/// Runs the closed-loop workload against one service configuration
+/// (in-memory, or durable rooted at the given directory) and returns
+/// `(total ops, elapsed seconds, checkpoints taken)`.
+fn run_mode(durable: Option<&Path>, s: &RunSettings) -> (u64, f64, u64) {
+    if let Some(d) = durable {
+        let _ = std::fs::remove_dir_all(d);
     }
     let mut config = ServiceConfig::new(Scheme::terp_full())
         .with_shards(s.shards)
         .with_sweep_period_us(0)
         .with_seed(s.seed)
         .with_cost(CostModel::zero());
-    if let Some(d) = durable.clone() {
-        config = config.with_durable_config(d);
+    if let Some(d) = durable {
+        config = config.with_durable(d);
     }
     let server = PmoServer::try_start(config).expect("service start");
     let svc = server.service();
@@ -114,63 +115,18 @@ fn run_mode(durable: Option<DurableConfig>, s: &RunSettings) -> (u64, f64) {
         }
     });
     let elapsed = started.elapsed().as_secs_f64();
+    // Automatic checkpoints only: the drain below takes one more.
+    let checkpoints = svc.report().checkpoints;
     server.shutdown();
-    if let Some(d) = &durable {
-        let _ = std::fs::remove_dir_all(&d.dir);
+    if let Some(d) = durable {
+        let _ = std::fs::remove_dir_all(d);
     }
-    (total, elapsed)
+    (total, elapsed, checkpoints)
 }
 
-fn fsync_key(policy: FsyncPolicy) -> &'static str {
-    match policy {
-        FsyncPolicy::Always => "always",
-        FsyncPolicy::Group => "group",
-        FsyncPolicy::Os => "os",
-    }
-}
-
-/// One durable write-path configuration under test: a synchronous fsync
-/// policy, or the pipelined asynchronous writer (which group-batches and
-/// fsyncs on its background thread).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DurableMode {
-    Sync(FsyncPolicy),
-    Async,
-}
-
-impl DurableMode {
-    fn key(self) -> &'static str {
-        match self {
-            DurableMode::Sync(p) => fsync_key(p),
-            DurableMode::Async => "async",
-        }
-    }
-
-    fn wal_mode(self) -> &'static str {
-        match self {
-            DurableMode::Sync(_) => "sync",
-            DurableMode::Async => "async",
-        }
-    }
-
-    fn config(self, dir: PathBuf) -> DurableConfig {
-        match self {
-            DurableMode::Sync(p) => DurableConfig::new(dir).with_fsync(p),
-            // The async writer fsyncs once per adaptive batch regardless of
-            // policy; Group keeps the underlying WalWriter honest.
-            DurableMode::Async => DurableConfig::new(dir)
-                .with_fsync(FsyncPolicy::Group)
-                .with_wal_mode(WalMode::Async),
-        }
-    }
-}
-
-fn throughput_json(label: &str, mode: &str, wal: &str, batch: u64, ops: u64, secs: f64) -> Json {
+fn throughput_json(mode: &str, ops: u64, secs: f64) -> Json {
     Json::obj([
-        ("mode", Json::Str(label.to_string())),
-        ("fsync", Json::Str(mode.to_string())),
-        ("wal_mode", Json::Str(wal.to_string())),
-        ("group_batch", Json::Num(batch as f64)),
+        ("mode", Json::Str(mode.to_string())),
         ("ops", Json::Num(ops as f64)),
         ("elapsed_s", Json::Num(secs)),
         (
@@ -184,8 +140,8 @@ fn throughput_json(label: &str, mode: &str, wal: &str, batch: u64, ops: u64, sec
 /// `visibility = durable`. Each thread hammers its own pre-allocated object
 /// with timed `write()` calls; the service only acks once the record is
 /// past the durability watermark, so the timed call *is* the commit.
-fn run_commit_latency(mode: DurableMode, s: &RunSettings, scratch: &Path) -> Json {
-    let dir = scratch.join(format!("lat-{}", mode.key()));
+fn run_commit_latency(s: &RunSettings, scratch: &Path) -> Json {
+    let dir = scratch.join("lat");
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServiceConfig::new(Scheme::terp_full())
         .with_shards(s.shards)
@@ -193,7 +149,7 @@ fn run_commit_latency(mode: DurableMode, s: &RunSettings, scratch: &Path) -> Jso
         .with_seed(s.seed)
         .with_cost(CostModel::zero())
         .with_visibility(Visibility::Durable)
-        .with_durable_config(mode.config(dir.clone()));
+        .with_durable(&dir);
     let server = PmoServer::try_start(config).expect("service start");
     let svc = server.service();
     let pools: Vec<PmoId> = (0..s.threads)
@@ -234,16 +190,13 @@ fn run_commit_latency(mode: DurableMode, s: &RunSettings, scratch: &Path) -> Jso
     let _ = std::fs::remove_dir_all(&dir);
     let us = |ns: u64| ns as f64 / 1e3;
     println!(
-        "  commit-{:<6} p50 {:>8.1} us   p95 {:>8.1} us   p99 {:>8.1} us   ({} commits)",
-        mode.key(),
+        "  commit   p50 {:>8.1} us   p95 {:>8.1} us   p99 {:>8.1} us   ({} commits)",
         us(hist.quantile(0.50)),
         us(hist.quantile(0.95)),
         us(hist.quantile(0.99)),
         hist.count(),
     );
     Json::obj([
-        ("mode", Json::Str(mode.key().to_string())),
-        ("wal_mode", Json::Str(mode.wal_mode().to_string())),
         ("commits", Json::Num(hist.count() as f64)),
         ("p50_us", Json::Num(us(hist.quantile(0.50)))),
         ("p95_us", Json::Num(us(hist.quantile(0.95)))),
@@ -255,50 +208,49 @@ fn run_commit_latency(mode: DurableMode, s: &RunSettings, scratch: &Path) -> Jso
 
 /// Writes an un-checkpointed WAL of `records` total records into `dir`:
 /// a pool creation, an open exposure window, periodic in-place
-/// randomizations, and data writes cycling through the pool.
+/// randomizations, and data writes cycling through the pool. One write and
+/// one fsync, so no writeback from building the log runs into the timed
+/// replay.
 fn build_recovery_log(dir: &Path, records: usize) {
     let _ = std::fs::remove_dir_all(dir);
-    let (mut store, _, _) = DurableStore::open(dir, FsyncPolicy::Os, 1).expect("store open");
+    std::fs::create_dir_all(dir).expect("create store dir");
     let pmo = PmoId::new(1).expect("pmo id");
-    store
-        .log(&WalRecord::PoolCreate {
-            id: pmo,
-            name: "recovery".into(),
-            size: 1 << 21,
-            mode: OpenMode::ReadWrite,
-        })
-        .expect("log");
-    store
-        .log(&WalRecord::SessionOpen {
-            client: 1,
-            pmo,
-            perm: Permission::ReadWrite,
-        })
-        .expect("log");
-    store.log(&WalRecord::WindowOpen { pmo }).expect("log");
     let payload = vec![0xA5u8; 64];
-    for i in 3..records {
-        let record = if i % 64 == 0 {
-            WalRecord::Randomize { pmo }
-        } else {
-            WalRecord::DataWrite {
+    let mut frames = Vec::new();
+    for i in 0..records {
+        let record = match i {
+            0 => WalRecord::PoolCreate {
+                id: pmo,
+                name: "recovery".into(),
+                size: 1 << 21,
+                mode: OpenMode::ReadWrite,
+            },
+            1 => WalRecord::SessionOpen {
+                client: 1,
+                pmo,
+                perm: Permission::ReadWrite,
+            },
+            2 => WalRecord::WindowOpen { pmo },
+            i if i % 64 == 0 => WalRecord::Randomize { pmo },
+            i => WalRecord::DataWrite {
                 pmo,
                 offset: ((i * 64) % ((1 << 21) - 64)) as u64,
                 data: payload.clone(),
-            }
+            },
         };
-        store.log(&record).expect("log");
+        record.encode_into(i as u64, &mut frames);
     }
-    store.sync().expect("sync");
-    // Dropped without a checkpoint: recovery must replay the whole log.
+    let (mut wal, _) = WalWriter::open(&dir.join(WAL_FILE)).expect("wal open");
+    wal.append_frames(&frames, records as u64)
+        .expect("write log");
 }
 
 fn recovery_json(dir: &Path, records: usize) -> Json {
     build_recovery_log(dir, records);
-    let wal_bytes = std::fs::metadata(dir.join("wal.log"))
+    let wal_bytes = std::fs::metadata(dir.join(WAL_FILE))
         .map(|m| m.len())
         .unwrap_or(0);
-    let (_, recovered, report) = DurableStore::open(dir, FsyncPolicy::Os, 1).expect("recovery");
+    let (_, recovered, report) = DurableStore::open(dir).expect("recovery");
     assert_eq!(recovered.resealed.len(), 1, "crash-open window resealed");
     let ms = report.recovery_ns as f64 / 1e6;
     println!(
@@ -321,10 +273,89 @@ fn recovery_json(dir: &Path, records: usize) -> Json {
     ])
 }
 
+/// Experiment 4: median time `start_checkpoint` holds its caller for one
+/// fully resident `HOLD_POOL`-byte pool — with one dirty page, and when the
+/// checkpoint compacts (every page rewritten each round until `ckpt.log`
+/// passes twice the resident bytes).
+fn checkpoint_hold_json(dir: &Path) -> Json {
+    const HOLD_POOL: u64 = 1 << 21;
+    const ROUNDS: usize = 7;
+    let _ = std::fs::remove_dir_all(dir);
+    let (mut store, recovered, _) = DurableStore::open(dir).expect("store open");
+    let mut reg = recovered.registry;
+    let pmo = reg
+        .create("hold", HOLD_POOL, OpenMode::ReadWrite)
+        .expect("pool creation");
+    store
+        .log(&WalRecord::PoolCreate {
+            id: pmo,
+            name: "hold".into(),
+            size: HOLD_POOL,
+            mode: OpenMode::ReadWrite,
+        })
+        .expect("log");
+    let page = vec![0x5au8; PAGE_SIZE as usize];
+    let pages = HOLD_POOL / PAGE_SIZE;
+    let ckpt_len = || {
+        std::fs::metadata(dir.join(CKPT_FILE))
+            .map(|m| m.len())
+            .unwrap_or(0)
+    };
+    // Returns (hold time, whether the checkpoint compacted).
+    let checkpoint = |store: &mut DurableStore, reg: &mut PmoRegistry, dirty: u64| {
+        for p in 0..dirty {
+            let pool = reg.pool_mut(pmo).expect("pool");
+            pool.write_bytes(p * PAGE_SIZE, &page).expect("write");
+        }
+        let before = ckpt_len();
+        let t0 = Instant::now();
+        let (_, done) = store
+            .start_checkpoint(reg.iter_mut(), &[])
+            .expect("checkpoint");
+        let held = t0.elapsed();
+        done.wait().expect("checkpoint I/O");
+        (held, ckpt_len() < before + (dirty * PAGE_SIZE))
+    };
+    checkpoint(&mut store, &mut reg, pages); // every page resident
+    let mut incremental = LatencyHistogram::default();
+    let mut compacting = LatencyHistogram::default();
+    for _ in 0..ROUNDS {
+        incremental.record(checkpoint(&mut store, &mut reg, 1).0.as_nanos() as u64);
+        loop {
+            let (held, compacted) = checkpoint(&mut store, &mut reg, pages);
+            if compacted {
+                compacting.record(held.as_nanos() as u64);
+                break;
+            }
+        }
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(dir);
+    let us = |ns: u64| ns as f64 / 1e3;
+    println!(
+        "  checkpoint hold ({} KiB pool, {pages} pages resident): one page {:.1} us, \
+         compacting {:.1} us (p50 of {ROUNDS})",
+        HOLD_POOL >> 10,
+        us(incremental.quantile(0.50)),
+        us(compacting.quantile(0.50)),
+    );
+    Json::obj([
+        ("pool_bytes", Json::Num(HOLD_POOL as f64)),
+        ("resident_pages", Json::Num(pages as f64)),
+        ("rounds", Json::Num(ROUNDS as f64)),
+        ("one_page_p50_us", Json::Num(us(incremental.quantile(0.50)))),
+        (
+            "compacting_p50_us",
+            Json::Num(us(compacting.quantile(0.50))),
+        ),
+        ("compacting_max_us", Json::Num(us(compacting.max()))),
+    ])
+}
+
 fn main() {
     let cli = Cli::new(
         "terp-persist",
-        "durability benchmark: durable vs in-memory throughput, group-commit sweep, recovery latency",
+        "durability benchmark: durable vs in-memory throughput, commit latency, recovery latency",
     )
     .opt_uint("--threads", "N", "worker threads (default: 4)")
     .opt_uint("--duration-ms", "MS", "run length per mode (default: 400)")
@@ -332,11 +363,6 @@ fn main() {
     .opt_uint("--shards", "N", "service shards (default: 8)")
     .opt_uint("--rounds", "N", "data rounds per attach (default: 4)")
     .opt_uint("--seed", "SEED", "placement RNG seed (default: 0x7e2f)")
-    .opt_choice(
-        "--fsync",
-        &["always", "group", "os", "async", "all"],
-        "durable write paths to compare against memory (default: all)",
-    )
     .opt_uint(
         "--recovery-scale",
         "K",
@@ -369,82 +395,41 @@ fn main() {
         settings.duration.as_millis(),
     );
 
-    // Experiment 1: in-memory baseline vs each durable write path.
-    let mut modes = Vec::new();
-    let (ops, secs) = run_mode(None, &settings);
+    // Experiment 1: in-memory baseline vs the durable service.
+    let (ops, secs, _) = run_mode(None, &settings);
     let memory_tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
-    println!("  memory       {:>12.0} ops/s", memory_tput);
-    modes.push(throughput_json("memory", "none", "none", 0, ops, secs));
-    let requested = cli.choice("--fsync", "all");
-    let durable_modes: Vec<DurableMode> = match requested {
-        "async" => vec![DurableMode::Async],
-        "all" => vec![
-            DurableMode::Sync(FsyncPolicy::Os),
-            DurableMode::Sync(FsyncPolicy::Group),
-            DurableMode::Sync(FsyncPolicy::Always),
-            DurableMode::Async,
-        ],
-        other => vec![DurableMode::Sync(
-            FsyncPolicy::parse(other).expect("choice list matches parse"),
-        )],
-    };
-    for mode in &durable_modes {
-        let durable = mode.config(scratch.join(format!("mode-{}", mode.key())));
-        let batch = durable.group as u64;
-        let (ops, secs) = run_mode(Some(durable), &settings);
-        let tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
-        println!(
-            "  durable-{:<6} {:>11.0} ops/s   ({:.1}% of memory)",
-            mode.key(),
-            tput,
-            100.0 * tput / memory_tput.max(f64::MIN_POSITIVE),
-        );
-        modes.push(throughput_json(
-            "durable",
-            mode.key(),
-            mode.wal_mode(),
-            batch,
-            ops,
-            secs,
-        ));
+    println!("  memory   {:>12.0} ops/s", memory_tput);
+    let memory = throughput_json("memory", ops, secs);
+    let (ops, secs, checkpoints) = run_mode(Some(&scratch.join("durable")), &settings);
+    let tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
+    println!(
+        "  durable  {:>12.0} ops/s   ({:.1}% of memory, {} checkpoints)",
+        tput,
+        100.0 * tput / memory_tput.max(f64::MIN_POSITIVE),
+        checkpoints,
+    );
+    let mut durable = throughput_json("durable", ops, secs);
+    if let Json::Obj(fields) = &mut durable {
+        fields.insert("checkpoints".to_string(), Json::Num(checkpoints as f64));
     }
 
     // Experiment 2: commit latency (submit → durable) under
-    // `visibility = durable`, per durable mode.
-    let commit_latency: Vec<Json> = durable_modes
-        .iter()
-        .map(|mode| run_commit_latency(*mode, &settings, &scratch))
-        .collect();
+    // `visibility = durable`.
+    let commit_latency = run_commit_latency(&settings, &scratch);
 
-    // Experiment 3: group-commit batch sweep.
-    let mut sweep = Vec::new();
-    for batch in [1u64, 4, 16, 64, 256] {
-        let durable = DurableConfig::new(scratch.join(format!("group-{batch}")))
-            .with_fsync(FsyncPolicy::Group)
-            .with_group(batch as usize);
-        let (ops, secs) = run_mode(Some(durable), &settings);
-        let tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
-        println!("  group-commit batch {:>3}  {:>12.0} ops/s", batch, tput);
-        sweep.push(throughput_json(
-            "group-sweep",
-            "group",
-            "sync",
-            batch,
-            ops,
-            secs,
-        ));
-    }
-
-    // Experiment 4: recovery latency vs log length.
+    // Experiment 3: recovery latency vs log length.
     let recovery: Vec<Json> = [1_000usize, 8_000, 32_000]
         .iter()
         .map(|n| recovery_json(&scratch.join(format!("rec-{n}")), n * scale))
         .collect();
 
+    // Experiment 4: how long a checkpoint holds the shard lock.
+    let checkpoint_hold = checkpoint_hold_json(&scratch.join("hold"));
+
     let doc = Json::obj([
         // Matches terp-analyze's JSON schema version (the result documents
         // evolve together; see that binary's docs).
-        ("schema_version", Json::Num(3.0)),
+        ("schema_version", Json::Num(4.0)),
         ("benchmark", Json::Str("terp-persist".to_string())),
         ("threads", Json::Num(settings.threads as f64)),
         ("pools", Json::Num(settings.pools as f64)),
@@ -454,10 +439,11 @@ fn main() {
             Json::Num(settings.duration.as_millis() as f64),
         ),
         ("data_rounds", Json::Num(settings.rounds as f64)),
-        ("modes", Json::Arr(modes)),
-        ("commit_latency", Json::Arr(commit_latency)),
-        ("group_commit", Json::Arr(sweep)),
+        ("checkpoint_every", Json::Num(CHECKPOINT_EVERY as f64)),
+        ("modes", Json::Arr(vec![memory, durable])),
+        ("commit_latency", commit_latency),
         ("recovery", Json::Arr(recovery)),
+        ("checkpoint_hold", checkpoint_hold),
     ]);
     if let Some(dir) = Path::new(out_path).parent() {
         if !dir.as_os_str().is_empty() {

@@ -1,10 +1,11 @@
 //! `terp-repl-bench` — replication lag and failover time for the terp-repl
 //! warm-standby pair (DESIGN.md §14).
 //!
-//! Two measurements, one run:
+//! Three measurements, one run:
 //!
 //! * **Steady-state replication lag** — a closed-loop writer drives a
-//!   durable leader while a follower mirrors it over loopback TCP. Every
+//!   durable leader (`visibility = durable`: each write returns once its
+//!   record is fsynced) while a follower mirrors it over loopback TCP. Every
 //!   `--probe-every` ops the driver timestamps a write, reads the shard's
 //!   new durable WAL seq off the leader's own log tail, and spins until the
 //!   follower reports that seq applied: the elapsed time is the end-to-end
@@ -17,11 +18,18 @@
 //!   wall-clock from kill to that first write is the failover time;
 //!   recovery's own nanoseconds come from the promoted service's
 //!   [`RecoveryStats`].
+//! * **Checkpoint churn** — a second pair whose leader acknowledges writes
+//!   at submit, so a burst of writes crosses several automatic checkpoints
+//!   per shard while the follower streams. Reported: the checkpoints the
+//!   follower followed in-stream, how often it fell back to a bootstrap
+//!   (must be never), the seq gap during the burst, how long the follower
+//!   takes to catch up after it, and a promotion whose every object must
+//!   read back its last write.
 //!
 //! Results land in `results/BENCH_repl.json`.
 //!
 //! ```text
-//! terp-repl-bench --ops 4000 --shards 2 --fsync always
+//! terp-repl-bench --ops 4000 --shards 2
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -31,11 +39,10 @@ use std::time::{Duration, Instant};
 use terp_analysis::Json;
 use terp_bench::cli::Cli;
 use terp_core::config::Scheme;
-use terp_persist::store::WAL_FILE;
-use terp_persist::{FsyncPolicy, TailReader, TailStatus};
+use terp_persist::{TailReader, TailStatus, CHECKPOINT_EVERY, WAL_FILE};
 use terp_pmo::{ObjectId, OpenMode, Permission, PmoId};
 use terp_repl::{ReplFollower, ReplFollowerConfig, ReplLeader, ReplLeaderConfig};
-use terp_service::{DurableConfig, LatencyHistogram, PmoServer, ServiceConfig};
+use terp_service::{LatencyHistogram, PmoServer, ServiceConfig, Visibility};
 
 const CLIENT: usize = 1;
 
@@ -102,6 +109,154 @@ fn wait_follower_at(follower: &ReplFollower, want: &[Option<u64>], t0: Instant) 
     }
 }
 
+/// Checkpoints every shard crosses in the churn phase.
+const CHURN_CHECKPOINTS: u64 = 3;
+
+/// The checkpoint-churn phase (see the module docs).
+fn checkpoint_churn(shards: usize, payload: usize) -> Json {
+    let leader_dir = temp_dir("churn-leader");
+    let mirror_dir = temp_dir("churn-mirror");
+    // `visibility = submit`: writes outrun the log, so the burst is short.
+    let config = ServiceConfig::for_tests(Scheme::terp_full())
+        .with_shards(shards)
+        .with_durable(&leader_dir);
+    let server = PmoServer::try_start(config.clone()).expect("start churn leader");
+    let svc = server.service();
+    let leader = ReplLeader::start(ReplLeaderConfig::new(&leader_dir, shards), "127.0.0.1:0")
+        .expect("start repl leader");
+    let follower =
+        ReplFollower::start(ReplFollowerConfig::new(leader.local_addr(), &mirror_dir, 2));
+    let objects: Vec<ObjectId> = (0..shards.max(2))
+        .map(|i| {
+            let p = svc
+                .create_pool(&format!("churn-{i}"), 1 << 20, OpenMode::ReadWrite)
+                .expect("create pool");
+            svc.attach(CLIENT, p, Permission::ReadWrite)
+                .expect("attach");
+            svc.alloc(CLIENT, p, payload.max(8) as u64).expect("alloc")
+        })
+        .collect();
+    wait_follower_at(&follower, &vec![None; shards], Instant::now());
+
+    let ops = CHURN_CHECKPOINTS * CHECKPOINT_EVERY * shards as u64 + CHECKPOINT_EVERY / 2;
+    let stop = AtomicBool::new(false);
+    let (gaps, rebootstraps, burst, catch_up) = std::thread::scope(|scope| {
+        // Samples the leader's seq gap, and catches any shard that drops
+        // back to a bootstrap (its followed-checkpoint count resets).
+        let sampler = scope.spawn(|| {
+            let mut gaps = LatencyHistogram::default();
+            let mut seen = vec![0u64; shards];
+            let mut rebootstraps = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                for l in leader.lag() {
+                    gaps.record(l.shipped_seq.saturating_sub(l.acked_seq));
+                }
+                for (l, seen) in follower.lag().iter().zip(&mut seen) {
+                    if !l.bootstrapped || l.checkpoints < *seen {
+                        rebootstraps += 1;
+                    }
+                    *seen = l.checkpoints;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            (gaps, rebootstraps)
+        });
+        let t0 = Instant::now();
+        for n in 0..ops {
+            let oid = objects[(n % objects.len() as u64) as usize];
+            let mut data = vec![0u8; payload.max(8)];
+            data[..8].copy_from_slice(&n.to_le_bytes());
+            svc.write(CLIENT, oid, &data).expect("write");
+        }
+        let burst = t0.elapsed();
+        // The follower drains what the burst left behind.
+        let want = SeqTracker::new(&leader_dir, shards).poll().to_vec();
+        let catch_up = wait_follower_at(&follower, &want, t0) - burst;
+        stop.store(true, Ordering::Relaxed);
+        let (gaps, rebootstraps) = sampler.join().expect("sampler");
+        (gaps, rebootstraps, burst, catch_up)
+    });
+    let taken = svc.report().checkpoints;
+
+    // Kill the leader (its log writers flush their last batches on drop),
+    // let the follower apply the rest, then promote.
+    drop(svc);
+    drop(server);
+    let want = SeqTracker::new(&leader_dir, shards).poll().to_vec();
+    wait_follower_at(&follower, &want, Instant::now());
+    let followed = follower.lag().iter().map(|l| l.checkpoints).min();
+    leader.shutdown();
+    let t_promote = Instant::now();
+    let promoted = follower
+        .promote(config)
+        .expect("promote follower over its mirror");
+    let promote = t_promote.elapsed();
+    let svc = promoted.service();
+    let rec = svc.recovery_stats().expect("promotion ran recovery");
+    for (i, &oid) in objects.iter().enumerate() {
+        let last = (0..ops)
+            .rev()
+            .find(|n| n % objects.len() as u64 == i as u64);
+        let client = 100 + i;
+        svc.attach(client, oid.pmo(), Permission::Read)
+            .expect("attach after failover");
+        let got = svc.read(client, oid, 8).expect("read after failover");
+        assert_eq!(
+            last.map(u64::to_le_bytes).as_ref().map(|b| &b[..]),
+            Some(&got[..]),
+            "object {i} lost its last write across checkpoints and failover"
+        );
+    }
+    drop(svc);
+    promoted.shutdown();
+    let followed = followed.unwrap_or(0);
+    println!(
+        "  checkpoint churn: {ops} writes in {:.0} ms, {taken} checkpoints taken, \
+         >= {followed} followed per shard, {rebootstraps} re-bootstraps, \
+         seq gap p99 {} max {}, caught up {:.1} ms after the burst, \
+         promotion {:.1} ms ({} records replayed)",
+        burst.as_secs_f64() * 1e3,
+        gaps.quantile(0.99),
+        gaps.max(),
+        catch_up.as_secs_f64() * 1e3,
+        promote.as_secs_f64() * 1e3,
+        rec.records_replayed,
+    );
+    assert_eq!(
+        rebootstraps, 0,
+        "the follower re-bootstrapped under checkpoints"
+    );
+    std::fs::remove_dir_all(&leader_dir).ok();
+    std::fs::remove_dir_all(&mirror_dir).ok();
+    Json::obj([
+        ("visibility", Json::Str("submit".to_string())),
+        ("ops", Json::Num(ops as f64)),
+        (
+            "writes_per_sec",
+            Json::Num(ops as f64 / burst.as_secs_f64().max(f64::MIN_POSITIVE)),
+        ),
+        ("checkpoints_taken", Json::Num(taken as f64)),
+        ("checkpoints_followed_min", Json::Num(followed as f64)),
+        ("rebootstraps", Json::Num(rebootstraps as f64)),
+        (
+            "seq_gap_records",
+            Json::obj([
+                ("p50", Json::Num(gaps.quantile(0.50) as f64)),
+                ("p99", Json::Num(gaps.quantile(0.99) as f64)),
+                ("max", Json::Num(gaps.max() as f64)),
+            ]),
+        ),
+        ("catch_up_ms", Json::Num(catch_up.as_secs_f64() * 1e3)),
+        ("promote_ms", Json::Num(promote.as_secs_f64() * 1e3)),
+        ("records_replayed", Json::Num(rec.records_replayed as f64)),
+        (
+            "checkpoint_records",
+            Json::Num(rec.checkpoint_records as f64),
+        ),
+        ("last_writes_intact", Json::Bool(true)),
+    ])
+}
+
 fn hist_json(hist: &LatencyHistogram) -> Json {
     Json::obj([
         ("p50_ns", Json::Num(hist.quantile(0.50) as f64)),
@@ -129,11 +284,6 @@ fn main() {
         "N",
         "ops between write→applied latency probes (default: 16)",
     )
-    .opt_choice(
-        "--fsync",
-        &["always", "group", "os"],
-        "leader WAL fsync policy (default: always)",
-    )
     .opt_str(
         "--out",
         "PATH",
@@ -145,18 +295,17 @@ fn main() {
     let shards = cli.uint("--shards").unwrap_or(2).max(1) as usize;
     let payload = cli.uint("--payload").unwrap_or(64).max(1) as usize;
     let probe_every = cli.uint("--probe-every").unwrap_or(16).max(1);
-    let fsync_key = cli.choice("--fsync", "always").to_string();
-    let fsync = FsyncPolicy::parse(&fsync_key).expect("valid fsync policy");
     let out_path = cli.choice("--out", "results/BENCH_repl.json");
 
     let leader_dir = temp_dir("leader");
     let mirror_dir = temp_dir("mirror");
     let config = ServiceConfig::for_tests(Scheme::terp_full())
         .with_shards(shards)
-        .with_durable_config(DurableConfig::new(&leader_dir).with_fsync(fsync));
+        .with_durable(&leader_dir)
+        .with_visibility(Visibility::Durable);
 
     println!(
-        "terp-repl-bench: {shards} shard(s), fsync {fsync_key}, {ops} ops, \
+        "terp-repl-bench: {shards} shard(s), durable visibility, {ops} ops, \
          {payload}-byte writes, probe every {probe_every}"
     );
 
@@ -271,16 +420,18 @@ fn main() {
     );
     promoted.shutdown();
 
+    let churn = checkpoint_churn(shards, payload);
+
     let doc = Json::obj([
         // Matches terp-analyze's JSON schema version (the result documents
         // evolve together; see that binary's docs).
-        ("schema_version", Json::Num(2.0)),
+        ("schema_version", Json::Num(3.0)),
         ("benchmark", Json::Str("terp-repl-bench".to_string())),
         // Closed loop: the writer issues the next op after the previous one
         // completes; probe latencies are per-op write→standby-applied.
         ("loop_mode", Json::Str("closed".to_string())),
         ("shards", Json::Num(shards as f64)),
-        ("fsync", Json::Str(fsync_key)),
+        ("visibility", Json::Str("durable".to_string())),
         ("ops", Json::Num(ops as f64)),
         ("payload_bytes", Json::Num(payload as f64)),
         (
@@ -314,6 +465,7 @@ fn main() {
                 ("open_windows_at_kill", Json::Num(open_before as f64)),
             ]),
         ),
+        ("checkpoint_churn", churn),
     ]);
     if let Some(dir) = Path::new(out_path).parent() {
         if !dir.as_os_str().is_empty() {

@@ -29,7 +29,7 @@ use terp_analysis::Json;
 use terp_bench::cli::Cli;
 use terp_core::config::Scheme;
 use terp_pmo::{OpenMode, Permission, PmoId};
-use terp_service::{CostModel, DurableConfig, PmoServer, PmoService, ServiceConfig};
+use terp_service::{CostModel, PmoServer, PmoService, ServiceConfig};
 use terp_structures::{DsMem, HashMap, LocalMem, Queue, ServiceMem, Stack};
 
 const ROOT_KEY: u32 = 1;
@@ -124,10 +124,10 @@ fn run_service_mode(
     threads: u32,
     duration: Duration,
     seed: u64,
-    durable: Option<DurableConfig>,
+    durable: Option<PathBuf>,
 ) -> (u64, f64) {
     if let Some(d) = &durable {
-        let _ = std::fs::remove_dir_all(&d.dir);
+        let _ = std::fs::remove_dir_all(d);
     }
     let mut config = ServiceConfig::new(Scheme::terp_full())
         .with_shards(4)
@@ -135,7 +135,7 @@ fn run_service_mode(
         .with_seed(seed)
         .with_cost(CostModel::zero());
     if let Some(d) = durable.clone() {
-        config = config.with_durable_config(d);
+        config = config.with_durable(d);
     }
     let server = PmoServer::try_start(config).expect("service start");
     let svc: Arc<PmoService> = server.service();
@@ -179,7 +179,7 @@ fn run_service_mode(
     let elapsed = started.elapsed().as_secs_f64();
     server.shutdown();
     if let Some(d) = &durable {
-        let _ = std::fs::remove_dir_all(&d.dir);
+        let _ = std::fs::remove_dir_all(d);
     }
     (total, elapsed)
 }
@@ -212,7 +212,7 @@ fn recovery_json(ds: Ds, ops: u64, seed: u64) -> Json {
     let wal = mem.durable_bytes();
 
     let started = Instant::now();
-    let (state, report) = terp_persist::recover(&[], &wal).expect("recovery");
+    let (state, report) = terp_persist::recover(&wal).expect("recovery");
     let post = LocalMem::from_recovered(state);
     match ds {
         Ds::Stack => {
@@ -287,7 +287,7 @@ fn main() {
         println!("  {:<5} memory   {:>12.0} ops/s", ds.key(), mem_tput);
         modes.push(cell_json(ds, "memory", 4, ops, secs));
 
-        let durable = DurableConfig::new(scratch.join(format!("durable-{}", ds.key())));
+        let durable = scratch.join(format!("durable-{}", ds.key()));
         let (ops, secs) = run_service_mode(ds, 4, duration, seed, Some(durable));
         let tput = ops as f64 / secs.max(f64::MIN_POSITIVE);
         println!(

@@ -13,24 +13,34 @@
 //! --> Hello{magic, version, follower}
 //! <-- Welcome{version, shards}
 //! --> Subscribe
-//! <-- SnapshotChunk* SnapshotDone   (per shard: checksummed bootstrap image)
+//! <-- SnapshotChunk* SnapshotDone   (per shard: ckpt.log + prot.log image)
 //! <-- LogBatch | Heartbeat ...      (continuous tail shipping)
+//! <-- CheckpointAppend* SnapshotChunk* SnapshotDone
+//!                                   (per leader checkpoint: ckpt.log growth
+//!                                    or whole compacted file, new prot.log)
 //! --> Ack{shard, applied_seq}       (follower progress, drives lag metrics)
 //! ```
+//!
+//! A leader checkpoint truncates the WAL the stream is reading, so the
+//! leader follows it with the checkpoint itself — the bytes `ckpt.log`
+//! grew by ([`ReplMsg::CheckpointAppend`]) or, after a compaction, the
+//! whole file as at bootstrap — and the new `prot.log`, then resends the
+//! WAL from byte 0. The stream never restarts for a checkpoint.
 //!
 //! [`ReplMsg::LogBatch`] bodies are raw WAL bytes copied verbatim from the
 //! leader's log files and appended verbatim to the follower's mirror — the
 //! mirror is byte-identical to the leader's durable prefix *by
 //! construction*. Batches may split at **arbitrary byte positions** (a WAL
 //! record larger than one frame still ships); the follower re-frames with
-//! the WAL's own torn-tail-tolerant decoder. Snapshot files chunk under
-//! [`SNAP_CHUNK`] so every message fits [`crate::frame::MAX_FRAME`].
+//! the WAL's own torn-tail-tolerant decoder. The bootstrap's checkpoint
+//! files chunk under [`SNAP_CHUNK`] so every message fits
+//! [`crate::frame::MAX_FRAME`].
 
 use terp_service::ServiceError;
 
 use crate::proto::{MAGIC, VERSION};
 
-/// Chunk size for snapshot files and log batches (512 KiB): comfortably
+/// Chunk size for bootstrap files and log batches (512 KiB): comfortably
 /// under [`crate::frame::MAX_FRAME`] with header room to spare.
 pub const SNAP_CHUNK: usize = 512 << 10;
 
@@ -44,6 +54,7 @@ const K_SNAP_CHUNK: u8 = 0xC1;
 const K_SNAP_DONE: u8 = 0xC2;
 const K_LOG_BATCH: u8 = 0xC3;
 const K_HEARTBEAT: u8 = 0xC4;
+const K_CKPT_APPEND: u8 = 0xC5;
 
 /// One replication stream message (either direction).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,14 +76,14 @@ pub enum ReplMsg {
         /// Leader shard count — the follower mirrors one WAL per shard.
         shards: u32,
     },
-    /// Follower requests the snapshot bootstrap + continuous log stream.
+    /// Follower requests the checkpoint bootstrap + continuous log stream.
     Subscribe,
-    /// One chunk of a snapshot file (bootstrap). `index`/`total` let the
+    /// One chunk of a checkpoint file (bootstrap). `index`/`total` let the
     /// follower reassemble and know when the file is whole.
     SnapshotChunk {
-        /// Shard the snapshot belongs to.
+        /// Shard the file belongs to.
         shard: u32,
-        /// Snapshot file name (e.g. `pool-7.snap`), no directory parts.
+        /// Checkpoint file name: `ckpt.log` or `prot.log`.
         file: String,
         /// Chunk index, `0..total`.
         index: u32,
@@ -81,10 +92,22 @@ pub enum ReplMsg {
         /// Raw file bytes of this chunk (≤ [`SNAP_CHUNK`]).
         bytes: Vec<u8>,
     },
-    /// A shard's snapshot bootstrap is complete; LogBatches follow.
+    /// A shard's checkpoint files are complete (bootstrap, or a checkpoint
+    /// taken since); LogBatches follow from byte 0 of the leader's WAL.
     SnapshotDone {
-        /// Shard whose bootstrap finished.
+        /// Shard whose checkpoint finished.
         shard: u32,
+    },
+    /// Bytes a leader checkpoint appended to a shard's `ckpt.log`, to be
+    /// written at `offset` of the follower's copy (which must be exactly
+    /// that long). Completed, with the new `prot.log`, by `SnapshotDone`.
+    CheckpointAppend {
+        /// Shard whose `ckpt.log` grew.
+        shard: u32,
+        /// Length of `ckpt.log` these bytes follow.
+        offset: u64,
+        /// Appended bytes (≤ [`SNAP_CHUNK`]).
+        bytes: Vec<u8>,
     },
     /// Raw WAL bytes to append verbatim to the shard's mirror log. May
     /// split mid-record; the mirror's decoder tolerates the seam.
@@ -226,6 +249,16 @@ impl ReplMsg {
                 out.push(K_SNAP_DONE);
                 out.extend_from_slice(&shard.to_le_bytes());
             }
+            ReplMsg::CheckpointAppend {
+                shard,
+                offset,
+                bytes,
+            } => {
+                out.push(K_CKPT_APPEND);
+                out.extend_from_slice(&shard.to_le_bytes());
+                out.extend_from_slice(&offset.to_le_bytes());
+                out.extend_from_slice(bytes);
+            }
             ReplMsg::LogBatch { shard, bytes } => {
                 out.push(K_LOG_BATCH);
                 out.extend_from_slice(&shard.to_le_bytes());
@@ -272,6 +305,11 @@ impl ReplMsg {
                 bytes: c.rest().to_vec(),
             },
             K_SNAP_DONE => ReplMsg::SnapshotDone { shard: c.u32()? },
+            K_CKPT_APPEND => ReplMsg::CheckpointAppend {
+                shard: c.u32()?,
+                offset: c.u64()?,
+                bytes: c.rest().to_vec(),
+            },
             K_LOG_BATCH => ReplMsg::LogBatch {
                 shard: c.u32()?,
                 bytes: c.rest().to_vec(),
@@ -314,7 +352,7 @@ mod tests {
             ReplMsg::Subscribe,
             ReplMsg::SnapshotChunk {
                 shard: 3,
-                file: "pool-7.snap".to_string(),
+                file: "ckpt.log".to_string(),
                 index: 2,
                 total: 9,
                 bytes: vec![0xAB; 100],
@@ -327,6 +365,11 @@ mod tests {
                 bytes: Vec::new(),
             },
             ReplMsg::SnapshotDone { shard: u32::MAX },
+            ReplMsg::CheckpointAppend {
+                shard: 2,
+                offset: 1 << 40,
+                bytes: vec![0x3C; 77],
+            },
             ReplMsg::LogBatch {
                 shard: 1,
                 bytes: vec![0x5A; 333],

@@ -2,17 +2,16 @@
 
 use std::fmt;
 use std::io;
+use std::path::PathBuf;
 
 use terp_pmo::{PmoError, PmoId};
 
-/// Errors produced by WAL, snapshot, and recovery operations.
+/// Errors produced by WAL, checkpoint, and recovery operations.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum PersistError {
     /// The underlying file system failed.
     Io(io::Error),
-    /// A snapshot file is malformed or fails its checksums.
-    SnapshotCorrupt(String),
     /// Replaying the log diverged from the logged outcome (e.g. an `Alloc`
     /// record whose replayed offset differs) — the log and the pool state it
     /// describes are inconsistent.
@@ -24,17 +23,29 @@ pub enum PersistError {
     },
     /// The PMO substrate rejected a replayed operation.
     Substrate(PmoError),
+    /// The store directory holds a file of a retired on-disk format that
+    /// is no longer read: a full `pool-*.snap` pool snapshot. Opening the
+    /// store without it would silently lose that pool.
+    RetiredFormat {
+        /// The offending file.
+        path: PathBuf,
+    },
 }
 
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "persist: io error: {e}"),
-            PersistError::SnapshotCorrupt(why) => write!(f, "persist: corrupt snapshot: {why}"),
             PersistError::ReplayDivergence { pmo, detail } => {
                 write!(f, "persist: replay diverged on pool {pmo}: {detail}")
             }
             PersistError::Substrate(e) => write!(f, "persist: {e}"),
+            PersistError::RetiredFormat { path } => write!(
+                f,
+                "persist: {} is a full pool snapshot (pool-*.snap), a retired \
+                 checkpoint format this version does not read",
+                path.display()
+            ),
         }
     }
 }

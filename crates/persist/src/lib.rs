@@ -12,41 +12,38 @@
 //!
 //! * [`record`] — the WAL record set and its CRC-framed binary encoding;
 //!   decoding truncates at the first invalid frame (torn-tail semantics).
-//! * [`wal`] — [`WalWriter`]: group-commit append with selectable
-//!   [`FsyncPolicy`], file-backed or in-memory.
-//! * [`snapshot`] — segmented, per-segment-checksummed pool images with an
-//!   embedded replay watermark ([`PoolSnapshot`]).
+//! * [`wal`] — [`WalWriter`]: the log sink, file-backed or in-memory; every
+//!   append is written and synced before it returns.
+//! * [`writer`] — the pipelined log path: [`AsyncWalWriter`] accepts
+//!   appends at *submit*, batches adaptively on a background thread that
+//!   owns the file sink, and publishes a monotonic durability watermark
+//!   ([`DurabilityGate`]) that callers (or per-append [`DurableTicket`]s)
+//!   wait on only when they need durability.
 //! * [`crash`] — deterministic crash injection: [`enumerate_crash_points`]
 //!   walks a durable log image and yields every truncation and corruption
 //!   point; [`inject`] applies one.
-//! * [`recovery`] — [`recover`]: install snapshots, replay the log (with
-//!   `Alloc` divergence checking), roll back in-flight transactions via
-//!   [`terp_pmo::txn::recover`], then **reseal**: every exposure window
-//!   open at crash time is force-closed and its pool's MERR placement
-//!   re-randomized ([`terp_pmo::Pmo::reseal`]) before any session can
-//!   reattach. Windows are re-sealed, never resumed.
-//! * [`writer`] — the pipelined asynchronous log path:
-//!   [`AsyncWalWriter`] accepts appends at *submit* through a bounded
-//!   queue, batches adaptively on a background thread, and publishes a
-//!   monotonic durability watermark ([`DurabilityGate`]) that callers (or
-//!   per-append [`DurableTicket`]s) wait on only when they need
-//!   durability.
-//! * [`store`] — [`DurableStore`]: one directory (WAL + snapshots +
-//!   incremental-checkpoint delta log) with open-time recovery, sync or
-//!   async ([`WalMode`]) write paths, and the crash-safe full and
-//!   incremental checkpoint protocols.
+//! * [`recovery`] — [`recover_segments`]: replay the checkpoint log, the
+//!   protection image and the WAL (with `Alloc` divergence checking), roll
+//!   back in-flight transactions via [`terp_pmo::txn::recover`], then
+//!   **reseal**: every exposure window open at crash time is force-closed
+//!   and its pool's MERR placement re-randomized
+//!   ([`terp_pmo::Pmo::reseal`]) before any session can reattach. Windows
+//!   are re-sealed, never resumed.
+//! * [`store`] — [`DurableStore`]: one directory (WAL + checkpoint log +
+//!   protection image) with open-time recovery, the pipelined write path,
+//!   and the crash-safe checkpoint protocol with its compaction rule.
 //! * [`tail`] — [`TailReader`]: stable tail reads over a *live* WAL for log
-//!   shipping; a torn tail under a racing group-commit append reads as
+//!   shipping; a torn tail under a racing batch append reads as
 //!   [`TailStatus::NeedMore`], never as corruption.
 //!
 //! # Quick start
 //!
 //! ```
-//! use terp_persist::{DurableStore, FsyncPolicy, WalRecord};
+//! use terp_persist::{DurableStore, WalRecord};
 //! use terp_pmo::{OpenMode, PmoRegistry};
 //! # fn main() -> Result<(), terp_persist::PersistError> {
 //! let dir = std::env::temp_dir().join(format!("terp-doc-{}", std::process::id()));
-//! let (mut store, recovered, report) = DurableStore::open(&dir, FsyncPolicy::Group, 8)?;
+//! let (mut store, recovered, report) = DurableStore::open(&dir)?;
 //! assert_eq!(report.pools_recovered, 0); // fresh directory
 //!
 //! // Mirror every mutation into the log…
@@ -59,9 +56,10 @@
 //!     mode: OpenMode::ReadWrite,
 //! })?;
 //! store.sync()?;
+//! drop(store);
 //!
 //! // …and the next open replays it.
-//! let (_, recovered, _) = DurableStore::open(&dir, FsyncPolicy::Group, 8)?;
+//! let (_, recovered, _) = DurableStore::open(&dir)?;
 //! assert!(recovered.registry.lookup("ledger").is_some());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok(())
@@ -76,7 +74,6 @@ pub mod crc;
 pub mod error;
 pub mod record;
 pub mod recovery;
-pub mod snapshot;
 pub mod store;
 pub mod tail;
 pub mod wal;
@@ -86,8 +83,9 @@ pub use crash::{enumerate_crash_points, inject, CrashMode, CrashPoint};
 pub use error::PersistError;
 pub use record::{read_log, LogContents, WalRecord};
 pub use recovery::{recover, recover_segments, RecoveredState, RecoveryReport};
-pub use snapshot::{load_snapshots, PoolSnapshot};
-pub use store::{DurableStore, CKPT_FILE, PROT_FILE, WAL_FILE};
+pub use store::{DurableStore, CHECKPOINT_EVERY, CKPT_FILE, PROT_FILE, WAL_FILE};
+#[doc(hidden)]
+pub use store::{FsyncPolicy, WalMode};
 pub use tail::{TailChunk, TailReader, TailStatus};
-pub use wal::{FsyncPolicy, WalStats, WalWriter};
-pub use writer::{AsyncWalWriter, DurabilityGate, DurableTicket, WalMode};
+pub use wal::{WalStats, WalWriter};
+pub use writer::{AsyncWalWriter, BarrierJob, BarrierTicket, DurabilityGate, DurableTicket};

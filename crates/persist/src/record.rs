@@ -187,7 +187,7 @@ impl WalRecord {
             WalRecord::Randomize { .. } => 9,
             WalRecord::Checkpoint => 10,
             WalRecord::RootSet { .. } => 11,
-            WalRecord::PageDelta { .. } => 12,
+            WalRecord::PageDelta { .. } => PAGE_DELTA_TAG,
             WalRecord::AllocTable { .. } => 13,
         }
     }
@@ -224,11 +224,8 @@ impl WalRecord {
     /// frame header (length + CRC) is back-filled once the payload length
     /// is known.
     pub fn encode_into(&self, seq: u64, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[0u8; FRAME_HEADER]);
+        let start = begin_frame(seq, self.tag(), out);
         let payload = out;
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.push(self.tag());
         match self {
             WalRecord::PoolCreate {
                 id,
@@ -276,9 +273,7 @@ impl WalRecord {
                 payload.extend_from_slice(&oid.to_le_bytes());
             }
             WalRecord::PageDelta { pmo, page, data } => {
-                payload.extend_from_slice(&pmo.raw().to_le_bytes());
-                payload.extend_from_slice(&page.to_le_bytes());
-                put_bytes(payload, data);
+                put_page_delta(payload, *pmo, *page, data);
             }
             WalRecord::AllocTable { pmo, live } => {
                 payload.extend_from_slice(&pmo.raw().to_le_bytes());
@@ -289,11 +284,66 @@ impl WalRecord {
                 }
             }
         }
-        let len = payload.len() - start - FRAME_HEADER;
-        let crc = crc32(&payload[start + FRAME_HEADER..]);
-        payload[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-        payload[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        finish_frame(start, payload);
     }
+
+    /// Encodes a [`WalRecord::PageDelta`] frame straight from a borrowed
+    /// page, with its CRC left unset: copying the page is all it costs, so
+    /// a caller holding a lock can leave the checksum to [`seal_frames`],
+    /// which must run before the bytes are written anywhere. Sealed, the
+    /// frame is exactly what [`Self::encode_into`] writes for the record.
+    pub fn encode_page_delta_unsealed(
+        seq: u64,
+        pmo: PmoId,
+        page: u64,
+        data: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        let start = begin_frame(seq, PAGE_DELTA_TAG, out);
+        put_page_delta(out, pmo, page, data);
+        let len = out.len() - start - FRAME_HEADER;
+        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    }
+}
+
+/// Computes the CRC of every frame in `frames`, a buffer of whole frames
+/// (see [`WalRecord::encode_page_delta_unsealed`]).
+pub fn seal_frames(frames: &mut [u8]) {
+    let mut pos = 0;
+    while pos + FRAME_HEADER <= frames.len() {
+        let len = u32::from_le_bytes(frames[pos..pos + 4].try_into().expect("4")) as usize;
+        let end = pos + FRAME_HEADER + len;
+        let crc = crc32(&frames[pos + FRAME_HEADER..end]);
+        frames[pos + 4..pos + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        pos = end;
+    }
+}
+
+const PAGE_DELTA_TAG: u8 = 12;
+
+/// Opens a frame on `out`: a header placeholder, then the seq and tag.
+/// Returns the frame's start for [`finish_frame`].
+fn begin_frame(seq: u64, tag: u8, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.push(tag);
+    start
+}
+
+/// Back-fills the header of the frame opened at `start` once its payload
+/// length is known.
+fn finish_frame(start: usize, out: &mut [u8]) {
+    let len = out.len() - start - FRAME_HEADER;
+    let crc = crc32(&out[start + FRAME_HEADER..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn put_page_delta(out: &mut Vec<u8>, pmo: PmoId, page: u64, data: &[u8]) {
+    out.extend_from_slice(&pmo.raw().to_le_bytes());
+    out.extend_from_slice(&page.to_le_bytes());
+    put_bytes(out, data);
 }
 
 struct Cursor<'a> {
@@ -537,6 +587,19 @@ mod tests {
             log.extend_from_slice(&r.encode(seq as u64));
         }
         log
+    }
+
+    #[test]
+    fn sealed_page_delta_encodes_like_the_record() {
+        let pmo = PmoId::new(3).unwrap();
+        let data = vec![0x5a; 4096];
+        let mut borrowed = WalRecord::Checkpoint.encode(41);
+        WalRecord::encode_page_delta_unsealed(42, pmo, 7, &data, &mut borrowed);
+        assert_eq!(read_log(&borrowed).records.len(), 1, "unsealed: CRC unset");
+        seal_frames(&mut borrowed);
+        let mut owned = WalRecord::Checkpoint.encode(41);
+        WalRecord::PageDelta { pmo, page: 7, data }.encode_into(42, &mut owned);
+        assert_eq!(borrowed, owned);
     }
 
     #[test]

@@ -1,23 +1,24 @@
-//! Crash recovery: snapshots + log replay + window resealing.
+//! Crash recovery: checkpoint log + WAL replay + window resealing.
 //!
-//! Recovery rebuilds a fresh [`PmoRegistry`] in four steps:
+//! Recovery rebuilds a fresh [`PmoRegistry`] in three steps:
 //!
-//! 1. **Install snapshots.** Each pool snapshot restores the pool at its
-//!    original id with its allocator state and data pages, and contributes a
-//!    per-pool `wal_seq` watermark.
-//! 2. **Replay the log.** Data records (`PoolCreate`/`Alloc`/`Free`/
-//!    `DataWrite`) with sequence numbers at or below the pool's watermark
-//!    are skipped — the snapshot already reflects them; replaying an `Alloc`
-//!    twice would diverge. Later records re-execute against the real
-//!    substrate, and `Alloc` replay *verifies* the allocator reproduces the
-//!    logged offset (a mismatch means log and snapshot disagree —
-//!    [`PersistError::ReplayDivergence`]). Protection-state records always
-//!    replay: they only mutate idempotent session/window sets.
-//! 3. **Roll back transactions.** Every recovered pool runs
+//! 1. **Replay the segments** in the order they were made durable: the
+//!    checkpoint log (`ckpt.log`: per-pool `PoolCreate`/`PageDelta`/
+//!    `AllocTable` batches), the protection image (`prot.log`), then the
+//!    live WAL. An `AllocTable` raises its pool's replay watermark: data
+//!    records (`PoolCreate`/`Alloc`/`Free`/`DataWrite`/`PageDelta`) at or
+//!    below it are skipped — the checkpoint already reflects them, and
+//!    replaying an `Alloc` twice would diverge. Later records re-execute
+//!    against the real substrate, and `Alloc` replay *verifies* the
+//!    allocator reproduces the logged offset (a mismatch means log and
+//!    checkpoint disagree — [`PersistError::ReplayDivergence`]).
+//!    Protection-state records always replay: they only mutate idempotent
+//!    session/window sets.
+//! 2. **Roll back transactions.** Every recovered pool runs
 //!    [`terp_pmo::txn::recover`], undoing writes of transactions that were
 //!    in flight at the crash. The undo log lives in pool bytes, so it was
-//!    itself rebuilt by steps 1–2.
-//! 4. **Reseal windows.** The TERP-specific invariant: any exposure window
+//!    itself rebuilt by step 1.
+//! 3. **Reseal windows.** The TERP-specific invariant: any exposure window
 //!    open at crash time is force-closed — the recovered registry exposes
 //!    *no* mapped pools — and each such pool's attach generation is bumped
 //!    ([`terp_pmo::Pmo::reseal`]) so the next attach re-randomizes its MERR
@@ -32,7 +33,6 @@ use terp_pmo::{txn, ObjectId, PmoId, PmoRegistry};
 
 use crate::error::PersistError;
 use crate::record::{read_log, WalRecord};
-use crate::snapshot::PoolSnapshot;
 
 /// What recovery produced.
 #[derive(Debug)]
@@ -52,13 +52,13 @@ pub struct RecoveredState {
 /// Metrics describing one recovery run.
 #[derive(Debug, Default, Clone)]
 pub struct RecoveryReport {
-    /// Pools restored (snapshots + replayed creations).
+    /// Pools restored.
     pub pools_recovered: usize,
-    /// Snapshot files installed.
-    pub snapshots_installed: usize,
-    /// Log records re-executed.
+    /// Checkpoint records (`ckpt.log` + `prot.log`) replayed.
+    pub checkpoint_records: usize,
+    /// WAL records re-executed.
     pub records_replayed: usize,
-    /// Log records skipped as already reflected in a snapshot.
+    /// Records skipped as already reflected in a checkpoint.
     pub records_skipped: usize,
     /// Bytes discarded from the torn/corrupt log tail.
     pub bytes_dropped: usize,
@@ -76,48 +76,42 @@ pub struct RecoveryReport {
     pub roots_recovered: usize,
 }
 
-/// Rebuilds state from `snapshots` and a single durable log image.
+/// Rebuilds state from a single durable log image (no checkpoint files).
 ///
-/// Shorthand for [`recover_segments`] with one segment; see there for the
-/// full contract.
-pub fn recover(
-    snapshots: &[PoolSnapshot],
-    log_bytes: &[u8],
-) -> Result<(RecoveredState, RecoveryReport), PersistError> {
-    recover_segments(snapshots, &[log_bytes])
+/// Shorthand for [`recover_segments`] with empty checkpoint segments; see
+/// there for the full contract.
+pub fn recover(log_bytes: &[u8]) -> Result<(RecoveredState, RecoveryReport), PersistError> {
+    recover_segments(&[], &[], log_bytes)
 }
 
-/// Rebuilds state from `snapshots` and an ordered sequence of durable log
-/// segments.
-///
-/// Segments are replayed oldest-first in the order given: for a store with
-/// incremental checkpoints that is the delta log (`ckpt.log`), then the
-/// protection snapshot (`prot.log`), then the live WAL (`wal.log`). Each
-/// segment is decoded **independently** — a torn tail in one segment stops
-/// that segment's replay at the tear but does not discard later segments,
-/// which were written by different (and possibly earlier, already-fsynced)
-/// protocol steps.
+/// Rebuilds state from a store's three durable segments, replayed in this
+/// order: the checkpoint log (`ckpt`), the protection image (`prot`), and
+/// the live WAL (`wal`). Each segment is decoded **independently** — a torn
+/// tail in one segment stops that segment's replay at the tear but does not
+/// discard later segments, which were written by different (and possibly
+/// earlier, already-fsynced) protocol steps.
 ///
 /// [`WalRecord::AllocTable`] records raise the pool's replay watermark:
 /// they mark a checkpoint boundary, so data records at or below their
-/// sequence number are already reflected in the delta state and must not
-/// double-apply.
+/// sequence number are already reflected in the checkpoint state and must
+/// not double-apply.
 ///
 /// # Errors
 ///
 /// [`PersistError::ReplayDivergence`] if an `Alloc` record replays to a
 /// different offset than logged, [`PersistError::Substrate`] if the PMO
-/// layer rejects a replayed operation — both mean the snapshot/log pair is
-/// inconsistent, not merely torn (torn tails are handled by truncation).
+/// layer rejects a replayed operation — both mean the checkpoint/log pair
+/// is inconsistent, not merely torn (torn tails are handled by truncation).
 pub fn recover_segments(
-    snapshots: &[PoolSnapshot],
-    segments: &[&[u8]],
+    ckpt: &[u8],
+    prot: &[u8],
+    wal: &[u8],
 ) -> Result<(RecoveredState, RecoveryReport), PersistError> {
     let start = Instant::now();
     let mut report = RecoveryReport::default();
     let mut registry = PmoRegistry::new();
 
-    // Step 1: snapshots, with per-pool replay watermarks.
+    // Per-pool replay watermarks, raised by AllocTable records.
     let mut watermark: Vec<Option<u64>> = Vec::new();
     let raise = |watermark: &mut Vec<Option<u64>>, idx: usize, seq: u64| {
         if watermark.len() <= idx {
@@ -125,15 +119,10 @@ pub fn recover_segments(
         }
         watermark[idx] = Some(watermark[idx].map_or(seq, |old| old.max(seq)));
     };
-    for snap in snapshots {
-        snap.install_into(&mut registry)?;
-        raise(&mut watermark, snap.id.index(), snap.wal_seq);
-        report.snapshots_installed += 1;
-    }
 
-    // Step 2: log replay. Decode every segment up front so torn-tail
+    // Step 1: replay. Decode every segment up front so torn-tail
     // accounting covers all of them before any record executes.
-    let decoded: Vec<_> = segments.iter().map(|bytes| read_log(bytes)).collect();
+    let decoded = [read_log(ckpt), read_log(prot), read_log(wal)];
     for contents in &decoded {
         report.bytes_dropped += contents.dropped;
         report.torn_tail |= !contents.is_clean();
@@ -142,7 +131,11 @@ pub fn recover_segments(
     let mut open_windows: BTreeSet<PmoId> = BTreeSet::new();
     let mut sessions: BTreeSet<(u64, PmoId)> = BTreeSet::new();
     let mut roots: BTreeMap<(PmoId, u32), u64> = BTreeMap::new();
-    for (seq, record) in decoded.iter().flat_map(|c| c.records.iter()) {
+    for (segment, (seq, record)) in decoded
+        .iter()
+        .enumerate()
+        .flat_map(|(i, c)| c.records.iter().map(move |r| (i, r)))
+    {
         let below_watermark = record
             .pmo()
             .and_then(|id| watermark.get(id.index()).copied().flatten())
@@ -155,14 +148,13 @@ pub fn recover_segments(
                 mode,
             } => {
                 // restore_pool is idempotent, so replaying a creation that
-                // the snapshot already made is harmless even below the
+                // the checkpoint already made is harmless even below the
                 // watermark; skipping keeps the counters honest.
                 if below_watermark {
                     report.records_skipped += 1;
                     continue;
                 }
                 registry.restore_pool(*id, name, *size, *mode)?;
-                report.records_replayed += 1;
             }
             WalRecord::Alloc { pmo, size, offset } => {
                 if below_watermark {
@@ -179,7 +171,6 @@ pub fn recover_segments(
                         ),
                     });
                 }
-                report.records_replayed += 1;
             }
             WalRecord::Free { pmo, offset } => {
                 if below_watermark {
@@ -189,7 +180,6 @@ pub fn recover_segments(
                 registry
                     .pool_mut(*pmo)?
                     .pfree(ObjectId::new(*pmo, *offset))?;
-                report.records_replayed += 1;
             }
             WalRecord::DataWrite { pmo, offset, data } => {
                 if below_watermark {
@@ -197,12 +187,11 @@ pub fn recover_segments(
                     continue;
                 }
                 registry.pool_mut(*pmo)?.write_bytes(*offset, data)?;
-                report.records_replayed += 1;
             }
             WalRecord::PageDelta { pmo, page, data } => {
-                // Incremental-checkpoint page image: an absolute overwrite,
-                // so replay is idempotent; watermark-skippable exactly like
-                // DataWrite (a later AllocTable/full snapshot supersedes it).
+                // Checkpoint page image: an absolute overwrite, so replay is
+                // idempotent; watermark-skippable exactly like DataWrite (a
+                // later checkpoint's AllocTable supersedes it).
                 if below_watermark {
                     report.records_skipped += 1;
                     continue;
@@ -210,7 +199,6 @@ pub fn recover_segments(
                 registry
                     .pool_mut(*pmo)?
                     .write_bytes(*page * terp_pmo::PAGE_SIZE, data)?;
-                report.records_replayed += 1;
             }
             WalRecord::AllocTable { pmo, live } => {
                 // Checkpoint boundary for this pool: install the absolute
@@ -225,40 +213,32 @@ pub fn recover_segments(
                 }
                 registry.pool_mut(*pmo)?.restore_allocator(live)?;
                 raise(&mut watermark, pmo.index(), *seq);
-                report.records_replayed += 1;
             }
             // Protection-state records: pure set mutations, idempotent and
-            // watermark-exempt (window state is never part of a snapshot —
-            // a snapshot is a checkpoint of *data*, exposure is runtime
-            // state that recovery must re-derive to know what to reseal).
+            // watermark-exempt (the checkpoint log holds *data*; exposure is
+            // runtime state that recovery must re-derive from prot.log and
+            // the WAL to know what to reseal).
             WalRecord::SessionOpen { client, pmo, .. } => {
                 sessions.insert((*client, *pmo));
-                report.records_replayed += 1;
             }
             WalRecord::SessionClose { client, pmo } => {
                 sessions.remove(&(*client, *pmo));
-                report.records_replayed += 1;
             }
             WalRecord::WindowOpen { pmo } => {
                 open_windows.insert(*pmo);
-                report.records_replayed += 1;
             }
             WalRecord::WindowClose { pmo } => {
                 open_windows.remove(pmo);
-                report.records_replayed += 1;
             }
             WalRecord::Randomize { pmo } => {
                 // The window splits but stays open; nothing to re-derive
                 // beyond what WindowOpen already recorded.
                 debug_assert!(open_windows.contains(pmo) || torn_any);
-                report.records_replayed += 1;
             }
-            WalRecord::Checkpoint => {
-                report.records_replayed += 1;
-            }
+            WalRecord::Checkpoint => {}
             // Root-directory records are watermark-exempt like the other
-            // protection-adjacent state: a snapshot captures pool bytes,
-            // not the directory, so every surviving RootSet replays
+            // protection-adjacent state: the checkpoint log captures pool
+            // bytes, not the directory, so every surviving RootSet replays
             // (last-writer-wins; oid 0 clears the slot).
             WalRecord::RootSet { pmo, key, oid } => {
                 if *oid == 0 {
@@ -266,17 +246,21 @@ pub fn recover_segments(
                 } else {
                     roots.insert((*pmo, *key), *oid);
                 }
-                report.records_replayed += 1;
             }
+        }
+        if segment == 2 {
+            report.records_replayed += 1;
+        } else {
+            report.checkpoint_records += 1;
         }
     }
 
-    // Step 3: in-pool transaction rollback, every recovered pool.
+    // Step 2: in-pool transaction rollback, every recovered pool.
     for pool in registry.iter_mut() {
         report.txns_rolled_back += txn::recover(pool)?;
     }
 
-    // Step 4: reseal. Windows open at crash are force-closed (the recovered
+    // Step 3: reseal. Windows open at crash are force-closed (the recovered
     // registry has no mapping state at all) and the pools re-randomize on
     // next attach. Sessions are discarded, not resurrected.
     let mut resealed = Vec::new();
@@ -305,18 +289,27 @@ pub fn recover_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{FsyncPolicy, WalWriter};
-    use terp_pmo::{OpenMode, Permission};
+    use crate::wal::WalWriter;
+    use terp_pmo::{OpenMode, Permission, Pmo};
 
     fn id(raw: u16) -> PmoId {
         PmoId::new(raw).unwrap()
+    }
+
+    /// A checkpoint-log image of `pool` at watermark `seq`, framed the way
+    /// a store's checkpoint writes it.
+    fn ckpt_image(pool: &Pmo, seq: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::store::encode_pool(&mut out, pool, pool.export_pages(), seq);
+        crate::record::seal_frames(&mut out);
+        out
     }
 
     /// Runs a small workload against a live registry while logging it, and
     /// returns (registry, durable log bytes).
     fn logged_workload() -> (PmoRegistry, Vec<u8>) {
         let mut reg = PmoRegistry::new();
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         let pid = reg.create("wk", 1 << 18, OpenMode::ReadWrite).unwrap();
         wal.append(&WalRecord::PoolCreate {
             id: pid,
@@ -360,7 +353,7 @@ mod tests {
         let pid = id(1);
         let gen_before = live.pool(pid).unwrap().attach_generation();
 
-        let (state, report) = recover(&[], &log).unwrap();
+        let (state, report) = recover(&log).unwrap();
         assert_eq!(report.pools_recovered, 1);
         assert_eq!(report.windows_resealed, 1);
         assert_eq!(report.sessions_discarded, 1);
@@ -380,7 +373,7 @@ mod tests {
     #[test]
     fn closed_windows_are_not_resealed() {
         let (_, mut log) = logged_workload();
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         wal.set_next_seq(6);
         wal.append(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
         wal.append(&WalRecord::SessionClose {
@@ -390,22 +383,23 @@ mod tests {
         .unwrap();
         log.extend_from_slice(wal.durable_bytes().unwrap());
 
-        let (state, report) = recover(&[], &log).unwrap();
+        let (state, report) = recover(&log).unwrap();
         assert_eq!(report.windows_resealed, 0);
         assert_eq!(report.sessions_discarded, 0);
         assert!(state.resealed.is_empty());
     }
 
     #[test]
-    fn snapshot_watermark_suppresses_double_replay() {
+    fn checkpoint_watermark_suppresses_double_replay() {
         let (live, log) = logged_workload();
         let pid = id(1);
         // Checkpoint after the whole log (last seq = 5).
-        let snap = PoolSnapshot::capture(live.pool(pid).unwrap(), 5);
+        let ckpt = ckpt_image(live.pool(pid).unwrap(), 5);
 
-        let (state, report) = recover(&[snap], &log).unwrap();
+        let (state, report) = recover_segments(&ckpt, &[], &log).unwrap();
         // All data records skipped; protection records still replayed.
         assert_eq!(report.records_skipped, 3);
+        assert_eq!(report.records_replayed, 3);
         assert_eq!(report.windows_resealed, 1);
         let pool = state.registry.pool(pid).unwrap();
         assert_eq!(pool.allocator().live_count(), 1, "alloc not double-applied");
@@ -415,7 +409,7 @@ mod tests {
     fn root_directory_replays_last_writer_wins_and_survives_torn_tails() {
         let (_, mut log) = logged_workload();
         let pid = id(1);
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         wal.set_next_seq(6);
         // Two sets on key 1 (second wins), a set+clear on key 2, and a set
         // on key 3 whose frame we then tear mid-payload.
@@ -452,7 +446,7 @@ mod tests {
         .encode(10);
         log.extend_from_slice(&torn_frame[..torn_frame.len() - 3]);
 
-        let (state, report) = recover(&[], &log).unwrap();
+        let (state, report) = recover(&log).unwrap();
         assert!(report.torn_tail, "tail must register as torn");
         assert_eq!(report.roots_recovered, 1);
         assert_eq!(
@@ -474,7 +468,7 @@ mod tests {
     fn root_directory_is_watermark_exempt() {
         let (live, mut log) = logged_workload();
         let pid = id(1);
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         wal.set_next_seq(6);
         wal.append(&WalRecord::RootSet {
             pmo: pid,
@@ -483,19 +477,19 @@ mod tests {
         })
         .unwrap();
         log.extend_from_slice(wal.durable_bytes().unwrap());
-        // Snapshot watermark covers the whole log, including the RootSet.
-        let snap = PoolSnapshot::capture(live.pool(pid).unwrap(), 6);
-        let (state, _) = recover(&[snap], &log).unwrap();
+        // The checkpoint watermark covers the whole log, RootSet included.
+        let ckpt = ckpt_image(live.pool(pid).unwrap(), 6);
+        let (state, _) = recover_segments(&ckpt, &[], &log).unwrap();
         assert_eq!(
             state.roots.get(&(pid, 0)),
             Some(&0x0040_0000_0000_0500),
-            "roots below the snapshot watermark must still replay"
+            "roots below the checkpoint watermark must still replay"
         );
     }
 
     #[test]
     fn alloc_divergence_is_detected() {
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         wal.append(&WalRecord::PoolCreate {
             id: id(1),
             name: "dv".into(),
@@ -509,7 +503,7 @@ mod tests {
             offset: 0xDEAD00, // not what a fresh allocator will hand out
         })
         .unwrap();
-        let err = recover(&[], wal.durable_bytes().unwrap()).unwrap_err();
+        let err = recover(wal.durable_bytes().unwrap()).unwrap_err();
         assert!(
             matches!(err, PersistError::ReplayDivergence { .. }),
             "{err}"
@@ -520,7 +514,7 @@ mod tests {
     fn uncommitted_transaction_rolls_back_during_recovery() {
         use terp_pmo::Transaction;
         let mut reg = PmoRegistry::new();
-        let mut wal = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut wal = WalWriter::in_memory();
         let pid = reg.create("tx", 1 << 18, OpenMode::ReadWrite).unwrap();
         wal.append(&WalRecord::PoolCreate {
             id: pid,
@@ -596,7 +590,7 @@ mod tests {
             }
         }
 
-        let (state, report) = recover(&[], wal.durable_bytes().unwrap()).unwrap();
+        let (state, report) = recover(wal.durable_bytes().unwrap()).unwrap();
         assert!(report.txns_rolled_back > 0, "in-flight txn must roll back");
         let mut buf = [0u8; 8];
         state

@@ -1,51 +1,53 @@
-//! The durable store: one directory holding a WAL, pool snapshots, and
-//! (with incremental checkpoints) a delta log + protection snapshot.
+//! The durable store: one directory holding a WAL and the checkpoint log
+//! (`ckpt.log` + `prot.log`).
 //!
 //! [`DurableStore::open`] is the single entry point: it loads whatever the
 //! directory contains (possibly nothing, possibly the debris of a crash),
 //! runs full [`crate::recovery::recover_segments`], and hands back both the
 //! recovered state and a live writer positioned after the last durable
 //! record. From then on the owner logs every mutation through
-//! [`DurableStore::log`] and periodically checkpoints to bound log length
-//! (and therefore recovery time).
+//! [`DurableStore::log`] and checkpoints whenever
+//! [`DurableStore::checkpoint_due`] says so, which bounds log length (and
+//! therefore recovery time).
 //!
-//! **Write modes.** Opened with [`WalMode::Sync`], appends write (and, per
-//! the fsync policy, fsync) inline on the caller's thread. With
-//! [`WalMode::Async`], appends return at *submit* and a per-store
-//! background thread ([`crate::writer::AsyncWalWriter`]) batches, writes
-//! and fsyncs, publishing a [`DurabilityGate`] watermark. Either way,
-//! [`DurableStore::sync_to`] blocks until a given record is durable and
-//! [`DurableStore::ticket`] hands out a waitable [`DurableTicket`] — the
-//! submit/durable split callers build visibility gating on.
+//! **Write path.** Appends go through the pipelined writer
+//! ([`crate::writer::AsyncWalWriter`]): they return at *submit*, and a
+//! per-store background thread batches, writes and fsyncs, publishing a
+//! [`DurabilityGate`] watermark. [`DurableStore::sync_to`] blocks until a
+//! given record is durable and [`DurableStore::ticket`] hands out a
+//! waitable [`DurableTicket`] — the submit/durable split callers build
+//! visibility gating on.
 //!
-//! **Full checkpoint** protocol, crash-safe at every step:
+//! **Checkpoint** ([`DurableStore::start_checkpoint`]), crash-safe at
+//! every step. The caller only logs a `Checkpoint` record — its seq is the
+//! *watermark* — and copies out the state dirtied since the last
+//! checkpoint; the log writer thread does the I/O as a barrier job
+//! ([`AsyncWalWriter::barrier`]), once every record up to the watermark is
+//! durable and before it writes any later one:
 //!
-//! 1. append a `Checkpoint` record and sync — this seq is the watermark;
-//! 2. snapshot every pool (temp file + atomic rename, per pool);
-//! 3. truncate the WAL and delete any incremental-checkpoint files.
-//!
-//! A crash before step 3 leaves old *and* new snapshots valid: each
-//! snapshot's embedded watermark tells replay which log records it already
-//! reflects, so nothing double-applies.
-//!
-//! **Incremental checkpoint** ([`DurableStore::checkpoint_incremental`])
-//! replaces the full-pool snapshot pass with a delta append, bounding the
-//! stall by the number of pages dirtied since the last checkpoint:
-//!
-//! 1. append a `Checkpoint` record and sync — this seq is the watermark;
-//! 2. for each dirty pool, append `PoolCreate` + one [`WalRecord::PageDelta`]
+//! 1. for each dirty pool, append `PoolCreate` + one [`WalRecord::PageDelta`]
 //!    per dirty page + a final [`WalRecord::AllocTable`] (all at the
 //!    watermark seq) to `ckpt.log`, one fsync for the batch;
-//! 3. atomically rewrite `prot.log` (temp + rename) with the caller's
-//!    current protection records and the live root directory;
-//! 4. truncate the WAL.
+//! 2. atomically rewrite `prot.log` (temp + rename): a `Checkpoint` frame
+//!    at the watermark, the caller's current protection records and the
+//!    live root directory;
+//! 3. truncate the WAL.
 //!
-//! Recovery replays snapshots, then `ckpt.log`, then `prot.log`, then
-//! `wal.log` — each decoded independently, so a torn tail in one never
-//! discards another. `AllocTable` replay raises the pool's watermark, which
-//! is what keeps a crash between steps 2 and 4 safe: the WAL's surviving
-//! records at or below the watermark are recognized as already-checkpointed
-//! and skipped.
+//! **Compaction.** `ckpt.log` only grows by appends, so one size rule keeps
+//! it bounded: when its length plus the dirty pages' bytes would exceed
+//! twice the resident bytes of the pools passed in, the checkpoint instead
+//! writes *every* pool's resident pages + `AllocTable` to `ckpt.log.tmp`,
+//! fsyncs it and renames it over `ckpt.log`. The choice is made from page
+//! counts before anything is encoded. Under the caller's lock a checkpoint
+//! only copies page images into their frames; the log writer thread
+//! computes their checksums. A crash before the rename leaves the old file and
+//! the untruncated WAL, which together still recover everything.
+//!
+//! Recovery replays `ckpt.log`, then `prot.log`, then `wal.log` — each
+//! decoded independently, so a torn tail in one never discards another.
+//! `AllocTable` replay raises the pool's watermark, which is what keeps a
+//! crash between steps 1 and 3 safe: the WAL's surviving records at or
+//! below the watermark are recognized as already-checkpointed and skipped.
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
@@ -53,55 +55,52 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use terp_pmo::{Pmo, PmoId};
+use terp_pmo::{Pmo, PmoId, PAGE_SIZE};
 
 use crate::error::PersistError;
-use crate::record::{read_log, WalRecord};
+use crate::record::{read_log, seal_frames, WalRecord};
 use crate::recovery::{recover_segments, RecoveredState, RecoveryReport};
-use crate::snapshot::{load_snapshots, PoolSnapshot};
-use crate::wal::{FsyncPolicy, WalStats, WalWriter};
-use crate::writer::{AsyncWalWriter, DurabilityGate, DurableTicket, WalMode};
+use crate::wal::{WalStats, WalWriter};
+use crate::writer::{AsyncWalWriter, BarrierTicket, DurabilityGate, DurableTicket};
 
 /// File name of the write-ahead log inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
-/// File name of the incremental-checkpoint delta log: an append-only,
-/// WAL-framed stream of `PoolCreate`/`PageDelta`/`AllocTable` batches.
+/// File name of the checkpoint log: a WAL-framed stream of
+/// `PoolCreate`/`PageDelta`/`AllocTable` batches, appended by each
+/// checkpoint and rewritten whole when it compacts.
 pub const CKPT_FILE: &str = "ckpt.log";
-/// File name of the protection/roots snapshot atomically rewritten by each
-/// incremental checkpoint (current `WindowOpen`/`SessionOpen`/`RootSet`
-/// records — the state the truncated WAL would otherwise forget).
+/// File name of the protection/roots image atomically rewritten by each
+/// checkpoint: a `Checkpoint` frame at the watermark, then the current
+/// `WindowOpen`/`SessionOpen`/`RootSet` records — the state the truncated
+/// WAL would otherwise forget.
 pub const PROT_FILE: &str = "prot.log";
 
-/// How the store drives its log file: inline, or through the pipelined
-/// background writer.
-#[derive(Debug)]
-enum Backend {
-    Sync(WalWriter),
-    Async(AsyncWalWriter),
-}
+/// Records a store takes between checkpoints: once this many have been
+/// logged since the last one, [`DurableStore::checkpoint_due`] turns true.
+/// At this length a WAL recovers in about 12 ms (`results/BENCH_persist.json`).
+pub const CHECKPOINT_EVERY: u64 = 32_768;
 
 /// A directory-backed durable store for a set of pools.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
-    backend: Backend,
-    /// Durability watermark shared with waiters. In async mode this is the
-    /// writer thread's gate; in sync mode the store advances it itself
-    /// whenever the inline writer's buffer drains (for `FsyncPolicy::Os`
-    /// that means "handed to the OS" — the same contract the policy gives).
-    gate: Arc<DurabilityGate>,
+    writer: AsyncWalWriter,
     /// Live image of the root directory (`RootSet` records seen so far).
-    /// Checkpoint truncation discards the log, and snapshots capture pool
-    /// bytes only — so the store re-logs this map right after truncating,
-    /// keeping data-structure roots findable across any number of
-    /// checkpoints.
+    /// Checkpoint truncation discards the log, so each checkpoint carries
+    /// this map into `prot.log`, keeping data-structure roots findable
+    /// across any number of checkpoints.
     roots: BTreeMap<(PmoId, u32), u64>,
-    /// Records appended since the last checkpoint of either kind — the
-    /// owner's trigger signal for incremental checkpoints.
+    /// Records appended since the last checkpoint — the trigger signal.
     records_since_ckpt: u64,
+    /// Length of the valid prefix of `ckpt.log`: what the compaction rule
+    /// compares against the pools' resident bytes.
+    ckpt_len: u64,
+    /// Checkpoints taken since open.
+    checkpoints: u64,
 }
 
-fn read_file_opt(path: &Path) -> Result<Vec<u8>, PersistError> {
+/// Reads one of a store's files; a missing file reads as empty.
+pub fn read_or_empty(path: &Path) -> Result<Vec<u8>, PersistError> {
     match fs::read(path) {
         Ok(bytes) => Ok(bytes),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
@@ -109,94 +108,161 @@ fn read_file_opt(path: &Path) -> Result<Vec<u8>, PersistError> {
     }
 }
 
+/// Writes `bytes` to `path` atomically: temp file, fsync, rename over,
+/// then fsync the directory so the rename is durable before the WAL
+/// truncation that relies on it.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_data()?;
+    }
+    fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Encodes one pool's checkpoint batch at seq `watermark` onto `out`:
+/// `PoolCreate`, one `PageDelta` per page in `pages`, then the pool's
+/// `AllocTable`. Returns the number of pages written. The page frames are
+/// unsealed: [`seal_frames`] must run over `out` before it is written.
+pub(crate) fn encode_pool<'p>(
+    out: &mut Vec<u8>,
+    pool: &Pmo,
+    pages: impl Iterator<Item = (u64, &'p [u8])>,
+    watermark: u64,
+) -> usize {
+    WalRecord::PoolCreate {
+        id: pool.id(),
+        name: pool.name().to_string(),
+        size: pool.size(),
+        mode: pool.mode(),
+    }
+    .encode_into(watermark, out);
+    let mut written = 0;
+    for (page, bytes) in pages {
+        WalRecord::encode_page_delta_unsealed(watermark, pool.id(), page, bytes, out);
+        written += 1;
+    }
+    // AllocTable LAST within the pool's batch: its replay raises the pool's
+    // watermark to this seq, which would self-skip the PageDeltas above if
+    // it came first.
+    WalRecord::AllocTable {
+        pmo: pool.id(),
+        live: pool.allocator().live_blocks().collect(),
+    }
+    .encode_into(watermark, out);
+    written
+}
+
+/// Signature kept only for the frozen storage probe in `perfbench/`, which
+/// opens stores as `open_with_mode(dir, FsyncPolicy::Always, 32, mode)`.
+/// The store has one write path; the arguments are ignored.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FsyncPolicy {
+    /// Every batch is fsynced (what the pipelined writer always does).
+    Always,
+}
+
+/// See [`FsyncPolicy`]: kept only for the frozen storage probe.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalMode {
+    /// Ignored.
+    Sync,
+    /// Ignored.
+    Async,
+}
+
 impl DurableStore {
-    /// Opens (creating if needed) the store at `dir` with the synchronous
-    /// inline writer, recovering whatever state its snapshots and logs
-    /// describe. The returned [`RecoveredState`] holds the rebuilt registry
-    /// — with every crash-open exposure window force-closed and resealed —
+    /// Opens (creating if needed) the store at `dir`, recovering whatever
+    /// state its checkpoint log and WAL describe, and starts its log
+    /// writer. The returned [`RecoveredState`] holds the rebuilt registry —
+    /// with every crash-open exposure window force-closed and resealed —
     /// and the [`RecoveryReport`] the metrics of the run.
     ///
     /// # Errors
     ///
-    /// I/O failures, snapshot corruption, or snapshot/log inconsistency
-    /// (see [`crate::recovery::recover`]). A torn log tail is *not* an
-    /// error: it is truncated away and reported.
-    pub fn open(
-        dir: &Path,
-        policy: FsyncPolicy,
-        group: usize,
-    ) -> Result<(Self, RecoveredState, RecoveryReport), PersistError> {
-        Self::open_with_mode(dir, policy, group, WalMode::Sync)
-    }
-
-    /// Opens the store like [`DurableStore::open`], selecting the write
-    /// mode: [`WalMode::Async`] spawns the pipelined background writer
-    /// (appends return at submit, durability via the watermark).
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableStore::open`].
-    pub fn open_with_mode(
-        dir: &Path,
-        policy: FsyncPolicy,
-        group: usize,
-        mode: WalMode,
-    ) -> Result<(Self, RecoveredState, RecoveryReport), PersistError> {
+    /// I/O failures or checkpoint/log inconsistency (see
+    /// [`crate::recovery::recover`]), and [`PersistError::RetiredFormat`]
+    /// for a directory holding full `pool-*.snap` snapshots. A torn log
+    /// tail is *not* an error: it is truncated away and reported.
+    pub fn open(dir: &Path) -> Result<(Self, RecoveredState, RecoveryReport), PersistError> {
         fs::create_dir_all(dir)?;
-        let snapshots = load_snapshots(dir)?;
-        let ckpt_bytes = read_file_opt(&dir.join(CKPT_FILE))?;
-        let prot_bytes = read_file_opt(&dir.join(PROT_FILE))?;
-        let wal_path = dir.join(WAL_FILE);
-        let log_bytes = read_file_opt(&wal_path)?;
-        let (state, report) =
-            recover_segments(&snapshots, &[&ckpt_bytes, &prot_bytes, &log_bytes])?;
-        // Reopening truncates the torn tail physically and positions the
-        // writer after the last valid record.
-        let (mut wal, _contents) = WalWriter::open(&wal_path, policy, group)?;
-        // Snapshot and checkpoint watermarks may exceed every surviving
-        // record's seq (the WAL is truncated at checkpoints); keep seq
-        // strictly increasing past all durable sources.
-        let mut floor = snapshots.iter().map(|s| s.wal_seq + 1).max().unwrap_or(0);
-        for seg in [&ckpt_bytes, &prot_bytes] {
-            if let Some(last) = read_log(seg).last_seq() {
-                floor = floor.max(last + 1);
+        for entry in fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("pool-") && name.ends_with(".snap") {
+                // Recovering without it would silently lose its pool.
+                return Err(PersistError::RetiredFormat {
+                    path: dir.join(&*name),
+                });
             }
         }
+        let ckpt_path = dir.join(CKPT_FILE);
+        let ckpt_bytes = read_or_empty(&ckpt_path)?;
+        let prot_bytes = read_or_empty(&dir.join(PROT_FILE))?;
+        let wal_path = dir.join(WAL_FILE);
+        let log_bytes = read_or_empty(&wal_path)?;
+        let (state, report) = recover_segments(&ckpt_bytes, &prot_bytes, &log_bytes)?;
+        let ckpt = read_log(&ckpt_bytes);
+        if ckpt.dropped > 0 {
+            // A crash mid-append tore the checkpoint log: cut the tear away
+            // so the next checkpoint's frames follow the last valid one
+            // instead of hiding behind garbage.
+            let f = OpenOptions::new().write(true).open(&ckpt_path)?;
+            f.set_len(ckpt.consumed as u64)?;
+            f.sync_data()?;
+        }
+        // Reopening truncates the torn tail physically and positions the
+        // writer after the last valid record.
+        let (mut wal, _contents) = WalWriter::open(&wal_path)?;
+        // Checkpoint watermarks may exceed every surviving record's seq
+        // (the WAL is truncated at checkpoints); keep seq strictly
+        // increasing past all durable sources.
+        let floor = [ckpt.last_seq(), read_log(&prot_bytes).last_seq()]
+            .into_iter()
+            .flatten()
+            .map(|s| s + 1)
+            .max()
+            .unwrap_or(0);
         if floor > wal.next_seq() {
             wal.set_next_seq(floor);
         }
-        let (backend, gate) = match mode {
-            WalMode::Sync => {
-                // Everything currently on disk is durable.
-                let gate = DurabilityGate::at(wal.next_seq());
-                (Backend::Sync(wal), gate)
-            }
-            WalMode::Async => {
-                let writer = AsyncWalWriter::spawn(wal);
-                let gate = writer.gate();
-                (Backend::Async(writer), gate)
-            }
-        };
         Ok((
             DurableStore {
                 dir: dir.to_path_buf(),
-                backend,
-                gate,
+                writer: AsyncWalWriter::spawn(wal),
                 roots: state.roots.clone(),
                 records_since_ckpt: 0,
+                ckpt_len: ckpt.consumed as u64,
+                checkpoints: 0,
             },
             state,
             report,
         ))
     }
 
-    /// Appends one record and returns its sequence number.
-    ///
-    /// In sync mode durability is governed by the fsync policy the store
-    /// was opened with; in async mode this returns at *submit* and the
-    /// record is durable once [`DurableStore::watermark`] passes its seq
-    /// (wait with [`DurableStore::sync_to`] or a
-    /// [`DurableStore::ticket`]).
+    #[doc(hidden)]
+    /// Forwards to [`DurableStore::open`]; kept only for the frozen storage
+    /// probe (see [`FsyncPolicy`]).
+    pub fn open_with_mode(
+        dir: &Path,
+        _fsync: FsyncPolicy,
+        _group: usize,
+        _mode: WalMode,
+    ) -> Result<(Self, RecoveredState, RecoveryReport), PersistError> {
+        Self::open(dir)
+    }
+
+    /// Submits one record and returns its sequence number. The record is
+    /// durable once [`DurableStore::watermark`] passes its seq (wait with
+    /// [`DurableStore::sync_to`] or a [`DurableStore::ticket`]).
     pub fn log(&mut self, record: &WalRecord) -> Result<u64, PersistError> {
         if let WalRecord::RootSet { pmo, key, oid } = record {
             if *oid == 0 {
@@ -205,251 +271,162 @@ impl DurableStore {
                 self.roots.insert((*pmo, *key), *oid);
             }
         }
-        let seq = match &mut self.backend {
-            Backend::Sync(wal) => {
-                let seq = wal.append(record)?;
-                if wal.pending_records() == 0 {
-                    // The policy flushed this batch inline (Always: every
-                    // record; Group: batch boundary; Os: write-through).
-                    self.gate.advance(wal.next_seq());
-                }
-                seq
-            }
-            Backend::Async(writer) => writer.append(record)?,
-        };
+        let seq = self.writer.append(record)?;
         self.records_since_ckpt += 1;
         Ok(seq)
     }
 
-    /// Forces everything appended so far to durable media (in async mode:
-    /// blocks until the watermark catches up with the last submission).
+    /// Blocks until everything submitted so far is durable.
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        match &mut self.backend {
-            Backend::Sync(wal) => {
-                wal.sync()?;
-                self.gate.advance(wal.next_seq());
-                Ok(())
-            }
-            Backend::Async(writer) => writer.sync(),
-        }
+        self.writer.sync()
     }
 
     /// Blocks until the record with sequence number `seq` is durable.
     /// Returns immediately if the watermark already passed it.
     pub fn sync_to(&mut self, seq: u64) -> Result<(), PersistError> {
-        if self.gate.is_durable(seq) {
-            return Ok(());
-        }
-        match &mut self.backend {
-            Backend::Sync(_) => self.sync(),
-            Backend::Async(_) => self.gate.wait_for(seq),
-        }
+        self.writer.gate().wait_for(seq)
     }
 
     /// A waitable completion handle for the record with sequence number
     /// `seq` — wait on it *after* releasing whatever lock guarded the
-    /// submission. Only meaningful in async mode (in sync mode a buffered
-    /// group-commit record's ticket completes at the next sync, which may
-    /// never come without further traffic — use [`DurableStore::sync_to`]).
+    /// submission.
     pub fn ticket(&self, seq: u64) -> DurableTicket {
-        self.gate.ticket(seq)
+        self.writer.gate().ticket(seq)
     }
 
     /// The shared durability gate (watermark + completion notification).
     pub fn gate(&self) -> Arc<DurabilityGate> {
-        Arc::clone(&self.gate)
+        self.writer.gate()
     }
 
     /// The durability watermark: every record with `seq < watermark()` is
     /// durable.
     pub fn watermark(&self) -> u64 {
-        self.gate.watermark()
+        self.writer.gate().watermark()
     }
 
-    /// Whether the store runs the pipelined background writer.
-    pub fn is_async(&self) -> bool {
-        matches!(self.backend, Backend::Async(_))
+    /// Whether [`CHECKPOINT_EVERY`] records have been logged since the last
+    /// checkpoint: the owner should call [`DurableStore::start_checkpoint`]
+    /// at its next consistent point.
+    pub fn checkpoint_due(&self) -> bool {
+        self.records_since_ckpt >= CHECKPOINT_EVERY
     }
 
-    /// Records appended since the last checkpoint of either kind.
-    pub fn records_since_checkpoint(&self) -> u64 {
-        self.records_since_ckpt
+    /// Checkpoints taken since the store was opened.
+    pub fn checkpoints(&self) -> u64 {
+        self.checkpoints
     }
 
-    fn truncate_backend(&mut self) -> Result<(), PersistError> {
-        match &mut self.backend {
-            Backend::Sync(wal) => wal.truncate(),
-            Backend::Async(writer) => writer.truncate(),
-        }
-    }
-
-    /// Checkpoints the given pools in full: snapshots them and truncates
-    /// the log (and any incremental-checkpoint files, which the snapshots
-    /// supersede). Returns the number of snapshots written.
-    ///
-    /// The caller must pass the *current* state of every pool whose
-    /// mutations were logged through this store — a pool left out keeps
-    /// replaying from its last snapshot (or from scratch), which stays
-    /// correct only while its old records are still in the log.
-    ///
-    /// Truncation also discards protection-state records, so a checkpoint
-    /// must be taken at a protection-quiescent point (no exposure window or
-    /// session open — e.g. a service drain); if any window is still open,
-    /// re-log its `WindowOpen` immediately after this returns, or a later
-    /// crash will not know to reseal it. (Non-quiescent checkpoints belong
-    /// to [`DurableStore::checkpoint_incremental`], which carries the
-    /// protection state explicitly.)
+    /// [`DurableStore::start_checkpoint`], then waits for the checkpoint's
+    /// files to be written and the WAL truncated. Returns the number of
+    /// page images written.
     ///
     /// # Errors
     ///
-    /// I/O failures; the store stays usable and the log intact if a
-    /// snapshot fails to write.
-    pub fn checkpoint<'a>(
-        &mut self,
-        pools: impl IntoIterator<Item = &'a mut Pmo>,
-    ) -> Result<usize, PersistError> {
-        let watermark = self.log(&WalRecord::Checkpoint)?;
-        self.sync_to(watermark)?;
-        let mut written = 0usize;
-        let mut seen: Vec<&'a mut Pmo> = Vec::new();
-        for pool in pools {
-            PoolSnapshot::capture(pool, watermark).write_to(&self.dir)?;
-            written += 1;
-            seen.push(pool);
-        }
-        self.truncate_backend()?;
-        for name in [CKPT_FILE, PROT_FILE] {
-            match fs::remove_file(self.dir.join(name)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        // Re-seed the fresh log with the root directory: RootSet records
-        // are watermark-exempt (snapshots never carry them), so without
-        // this a recovery after the next crash would find no roots at all.
-        if !self.roots.is_empty() {
-            for ((pmo, key), oid) in self.roots.clone() {
-                self.log(&WalRecord::RootSet { pmo, key, oid })?;
-            }
-            self.sync()?;
-        }
-        for pool in seen {
-            pool.clear_dirty();
-        }
-        self.records_since_ckpt = 0;
-        Ok(written)
-    }
-
-    /// Incremental checkpoint: appends only state dirtied since the last
-    /// checkpoint to the delta log, rewrites the protection snapshot, and
-    /// truncates the WAL. Returns the number of page deltas written.
-    ///
-    /// Unlike [`DurableStore::checkpoint`] this does *not* require a
-    /// protection-quiescent point: pass the current protection state
-    /// (`WindowOpen`/`SessionOpen` records for every open window/session)
-    /// in `protection` — it is preserved in `prot.log` so a later crash
-    /// still knows exactly what to reseal. The live root directory is
-    /// carried automatically.
-    ///
-    /// As with the full checkpoint, every pool whose mutations were logged
-    /// through this store must be passed; clean pools cost nothing.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures; the store stays usable and the WAL intact if a delta
-    /// write fails.
+    /// See [`DurableStore::start_checkpoint`].
     pub fn checkpoint_incremental<'a>(
         &mut self,
         pools: impl IntoIterator<Item = &'a mut Pmo>,
         protection: &[WalRecord],
     ) -> Result<usize, PersistError> {
+        let (pages, done) = self.start_checkpoint(pools, protection)?;
+        done.wait()?;
+        Ok(pages)
+    }
+
+    /// Starts a checkpoint: logs its `Checkpoint` record, copies out the
+    /// pages dirtied since the last checkpoint (or, when the compaction
+    /// rule fires, every resident page), and hands the file writes and the
+    /// WAL truncation to the log writer thread, ordered after that record.
+    /// Returns without waiting for any I/O: the number of page images the
+    /// checkpoint writes, and a ticket that completes when it is done.
+    ///
+    /// No protection-quiescent point is needed: pass the current protection
+    /// state (`WindowOpen`/`SessionOpen` records for every open
+    /// window/session) in `protection` — it is preserved in `prot.log` so a
+    /// later crash still knows exactly what to reseal. The live root
+    /// directory is carried automatically.
+    ///
+    /// Every pool whose mutations were logged through this store must be
+    /// passed; clean pools cost nothing unless the checkpoint compacts.
+    ///
+    /// # Errors
+    ///
+    /// The log writer's stored I/O error. A checkpoint whose writes fail
+    /// poisons the writer like a failed log write: the WAL is left
+    /// untruncated (it still recovers everything) and no later record
+    /// becomes durable.
+    pub fn start_checkpoint<'a>(
+        &mut self,
+        pools: impl IntoIterator<Item = &'a mut Pmo>,
+        protection: &[WalRecord],
+    ) -> Result<(usize, BarrierTicket), PersistError> {
         let watermark = self.log(&WalRecord::Checkpoint)?;
-        self.sync_to(watermark)?;
+        let mut pools: Vec<&'a mut Pmo> = pools.into_iter().collect();
 
-        // Step 1: dirty state → delta log, one fsync for the whole batch.
-        let mut delta: Vec<u8> = Vec::new();
+        // Dirty state for the checkpoint log — or, past the size bound,
+        // every pool's full image in its place. The bound is checked from
+        // page counts, before anything is encoded.
+        let bytes = |pages: usize| pages as u64 * PAGE_SIZE;
+        let resident: u64 = pools.iter().map(|p| bytes(p.resident_pages())).sum();
+        let dirty: u64 = pools.iter().map(|p| bytes(p.dirty_page_count())).sum();
+        let compact = self.ckpt_len + dirty > 2 * resident;
+        let mut ckpt: Vec<u8> = Vec::new();
         let mut pages = 0usize;
-        let mut seen: Vec<&'a mut Pmo> = Vec::new();
-        for pool in pools {
-            if pool.is_checkpoint_dirty() {
-                delta.extend_from_slice(
-                    &WalRecord::PoolCreate {
-                        id: pool.id(),
-                        name: pool.name().to_string(),
-                        size: pool.size(),
-                        mode: pool.mode(),
-                    }
-                    .encode(watermark),
-                );
-                for (page, bytes) in pool.export_dirty_pages() {
-                    delta.extend_from_slice(
-                        &WalRecord::PageDelta {
-                            pmo: pool.id(),
-                            page,
-                            data: bytes.to_vec(),
-                        }
-                        .encode(watermark),
-                    );
-                    pages += 1;
-                }
-                // AllocTable LAST within the pool's batch: its replay
-                // raises the pool's watermark to this seq, which would
-                // self-skip the PageDeltas above if it came first.
-                let live: Vec<(u64, u64)> = pool.allocator().live_blocks().collect();
-                delta.extend_from_slice(
-                    &WalRecord::AllocTable {
-                        pmo: pool.id(),
-                        live,
-                    }
-                    .encode(watermark),
-                );
+        if compact {
+            for pool in &pools {
+                pages += encode_pool(&mut ckpt, pool, pool.export_pages(), watermark);
             }
-            seen.push(pool);
-        }
-        if !delta.is_empty() {
-            let mut f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.dir.join(CKPT_FILE))?;
-            f.write_all(&delta)?;
-            f.sync_data()?;
+            self.ckpt_len = ckpt.len() as u64;
+        } else {
+            for pool in pools.iter().filter(|p| p.is_checkpoint_dirty()) {
+                pages += encode_pool(&mut ckpt, pool, pool.export_dirty_pages(), watermark);
+            }
+            self.ckpt_len += ckpt.len() as u64;
         }
 
-        // Step 2: protection + roots snapshot, atomic rewrite. Always
-        // rewritten — even to empty — so windows closed since the last
-        // incremental checkpoint stop being re-resealed. (A stale prot.log
-        // after a crash mid-step only over-reseals, which is safe.)
+        // The protection + roots image. Always rewritten — even when no
+        // window is open — so windows closed since the last checkpoint stop
+        // being re-resealed. (A stale prot.log after a crash mid-checkpoint
+        // only over-reseals, which is safe.) Its first frame is the
+        // `Checkpoint` at the watermark, so the file names the checkpoint it
+        // belongs to: log shipping uses that to notice a checkpoint landing
+        // mid-bootstrap.
         let mut prot: Vec<u8> = Vec::new();
+        WalRecord::Checkpoint.encode_into(watermark, &mut prot);
         for rec in protection {
-            prot.extend_from_slice(&rec.encode(watermark));
+            rec.encode_into(watermark, &mut prot);
         }
-        for ((pmo, key), oid) in &self.roots {
-            prot.extend_from_slice(
-                &WalRecord::RootSet {
-                    pmo: *pmo,
-                    key: *key,
-                    oid: *oid,
-                }
-                .encode(watermark),
-            );
+        for (&(pmo, key), &oid) in &self.roots {
+            WalRecord::RootSet { pmo, key, oid }.encode_into(watermark, &mut prot);
         }
-        let tmp = self.dir.join(format!("{PROT_FILE}.tmp"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&prot)?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, self.dir.join(PROT_FILE))?;
 
-        // Step 3: the WAL's records are superseded (data by the deltas +
-        // AllocTable watermark, protection by prot.log).
-        self.truncate_backend()?;
-        for pool in seen {
+        let dir = self.dir.clone();
+        let done = self.writer.barrier(Box::new(move |wal: &mut WalWriter| {
+            // Checksums are computed here, off the caller's lock.
+            seal_frames(&mut ckpt);
+            let ckpt_path = dir.join(CKPT_FILE);
+            if compact {
+                write_atomic(&ckpt_path, &ckpt)?;
+            } else if !ckpt.is_empty() {
+                let mut f = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&ckpt_path)?;
+                f.write_all(&ckpt)?;
+                f.sync_data()?;
+            }
+            write_atomic(&dir.join(PROT_FILE), &prot)?;
+            // The WAL's records are superseded: data by the checkpoint log
+            // and its AllocTable watermarks, protection by prot.log.
+            wal.truncate()
+        }))?;
+        for pool in &mut pools {
             pool.clear_dirty();
         }
         self.records_since_ckpt = 0;
-        Ok(pages)
+        self.checkpoints += 1;
+        Ok((pages, done))
     }
 
     /// The live root directory (every `RootSet` logged or recovered,
@@ -470,18 +447,12 @@ impl DurableStore {
 
     /// Writer activity counters.
     pub fn stats(&self) -> WalStats {
-        match &self.backend {
-            Backend::Sync(wal) => wal.stats(),
-            Backend::Async(writer) => writer.stats(),
-        }
+        self.writer.stats()
     }
 
     /// Sequence number the next logged record will receive.
     pub fn next_seq(&self) -> u64 {
-        match &self.backend {
-            Backend::Sync(wal) => wal.next_seq(),
-            Backend::Async(writer) => writer.next_seq(),
-        }
+        self.writer.next_seq()
     }
 }
 
@@ -548,12 +519,12 @@ mod tests {
     fn reopen_after_crash_recovers_logged_state() {
         let dir = tmp_dir("reopen");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             // Store dropped without checkpoint = crash.
         }
-        let (store, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (store, state, report) = DurableStore::open(&dir).unwrap();
         assert_recovered(&state);
         assert_eq!(report.pools_recovered, 1);
         assert_eq!(report.windows_resealed, 1);
@@ -563,103 +534,31 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_truncates_log_and_survives_reopen() {
-        let dir = tmp_dir("ckpt");
-        {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
-            let mut reg = PmoRegistry::new();
-            workload(&mut store, &mut reg);
-            assert_eq!(store.checkpoint(reg.iter_mut()).unwrap(), 1);
-            assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
-        }
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
-        assert_eq!(report.snapshots_installed, 1);
-        assert_eq!(report.records_replayed, 0, "log was truncated");
-        // The window state lived only in the truncated log — the checkpoint
-        // is a quiescent point, so nothing needs resealing...
-        assert_eq!(report.windows_resealed, 0);
-        // ...but the data is all there.
-        let pool = state.registry.pool(id(1)).unwrap();
-        let (off, _) = pool.allocator().live_blocks().next().unwrap();
-        let mut buf = [0u8; 13];
-        pool.read_bytes(off, &mut buf).unwrap();
-        assert_eq!(&buf, b"durable bytes");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn records_after_checkpoint_replay_on_top_of_snapshot() {
-        let dir = tmp_dir("post-ckpt");
-        {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
-            let mut reg = PmoRegistry::new();
-            workload(&mut store, &mut reg);
-            store.checkpoint(reg.iter_mut()).unwrap();
-            // More work after the checkpoint.
-            let pid = id(1);
-            let oid2 = reg.pool_mut(pid).unwrap().pmalloc(32).unwrap();
-            store
-                .log(&WalRecord::Alloc {
-                    pmo: pid,
-                    size: 32,
-                    offset: oid2.offset(),
-                })
-                .unwrap();
-            store.sync().unwrap();
-        }
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
-        assert_eq!(report.records_replayed, 1);
-        assert_eq!(
-            report.records_skipped, 0,
-            "truncated log holds no stale records"
-        );
-        assert_eq!(
-            state.registry.pool(id(1)).unwrap().allocator().live_count(),
-            2
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn roots_survive_checkpoint_truncation_and_reopen() {
         let dir = tmp_dir("roots");
         let packed = 0x0040_0000_0000_0080u64;
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
-            store
-                .log(&WalRecord::RootSet {
-                    pmo: id(1),
-                    key: 7,
-                    oid: packed,
-                })
-                .unwrap();
-            store
-                .log(&WalRecord::RootSet {
-                    pmo: id(1),
-                    key: 8,
-                    oid: 0x0040_0000_0000_00C0,
-                })
-                .unwrap();
-            store
-                .log(&WalRecord::RootSet {
-                    pmo: id(1),
-                    key: 8,
-                    oid: 0,
-                })
-                .unwrap();
-            // Checkpoint truncates the WAL; only the live root must be
-            // re-seeded into the fresh log.
-            store.checkpoint(reg.iter_mut()).unwrap();
-            assert!(
-                fs::metadata(store.wal_path()).unwrap().len() > 0,
-                "checkpoint must re-log live roots after truncation"
-            );
+            for (key, oid) in [(7, packed), (8, 0x0040_0000_0000_00C0), (8, 0)] {
+                store
+                    .log(&WalRecord::RootSet {
+                        pmo: id(1),
+                        key,
+                        oid,
+                    })
+                    .unwrap();
+            }
+            // The checkpoint truncates the WAL; only the live root must be
+            // carried into prot.log.
+            store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap();
+            assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
+            assert!(fs::metadata(dir.join(PROT_FILE)).unwrap().len() > 0);
             assert_eq!(store.roots().len(), 1);
         }
-        let (store, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (store, state, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.roots_recovered, 1);
         assert_eq!(state.roots.get(&(id(1), 7)), Some(&packed));
         assert!(!state.roots.contains_key(&(id(1), 8)), "cleared slot gone");
@@ -671,7 +570,7 @@ mod tests {
     fn torn_tail_is_reported_and_physically_truncated() {
         let dir = tmp_dir("torn");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
         }
@@ -681,7 +580,7 @@ mod tests {
         f.set_len(len - 2).unwrap();
         drop(f);
 
-        let (store, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (store, state, report) = DurableStore::open(&dir).unwrap();
         assert!(report.torn_tail);
         assert!(report.bytes_dropped > 0);
         // The torn record was the WindowOpen → nothing to reseal, data intact.
@@ -697,7 +596,7 @@ mod tests {
     fn incremental_checkpoint_truncates_wal_and_preserves_protection() {
         let dir = tmp_dir("inc-ckpt");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             // The window from the workload is still open — carry it.
@@ -708,29 +607,35 @@ mod tests {
             assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
             assert!(fs::metadata(dir.join(CKPT_FILE)).unwrap().len() > 0);
             assert!(fs::metadata(dir.join(PROT_FILE)).unwrap().len() > 0);
+            assert_eq!(store.checkpoints(), 1);
             // Crash here (drop without further checkpoint).
         }
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
-        // Data comes back from the delta log, the open window from
+        let (_, state, report) = DurableStore::open(&dir).unwrap();
+        // Data comes back from the checkpoint log, the open window from
         // prot.log — and is resealed, the TERP invariant.
         assert_recovered(&state);
         assert_eq!(report.windows_resealed, 1);
-        assert_eq!(report.snapshots_installed, 0, "no full snapshot written");
+        assert_eq!(report.records_replayed, 0, "WAL was truncated");
+        assert!(report.checkpoint_records > 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn incremental_checkpoint_only_writes_dirty_pages() {
         let dir = tmp_dir("inc-dirty");
-        let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (mut store, _, _) = DurableStore::open(&dir).unwrap();
         let mut reg = PmoRegistry::new();
         workload(&mut store, &mut reg);
         store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
+        // A big resident image keeps the compaction rule out of the way.
+        let pool = reg.pool_mut(id(1)).unwrap();
+        pool.write_bytes(PAGE_SIZE, &vec![7u8; 16 * PAGE_SIZE as usize])
+            .unwrap();
         assert!(store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap() >= 1);
         let first_len = fs::metadata(dir.join(CKPT_FILE)).unwrap().len();
 
-        // Nothing dirtied since: the next incremental checkpoint appends no
-        // page deltas at all.
+        // Nothing dirtied since: the next checkpoint appends no page
+        // deltas at all.
         assert_eq!(
             store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap(),
             0
@@ -757,7 +662,7 @@ mod tests {
     fn records_after_incremental_checkpoint_replay_on_top_of_deltas() {
         let dir = tmp_dir("inc-post");
         {
-            let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+            let (mut store, _, _) = DurableStore::open(&dir).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             store
@@ -775,7 +680,8 @@ mod tests {
                 .unwrap();
             store.sync().unwrap();
         }
-        let (_, state, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (_, state, report) = DurableStore::open(&dir).unwrap();
+        assert_eq!(report.records_replayed, 1);
         assert_eq!(
             state.registry.pool(id(1)).unwrap().allocator().live_count(),
             2
@@ -784,32 +690,132 @@ mod tests {
     }
 
     #[test]
-    fn full_checkpoint_supersedes_incremental_files() {
-        let dir = tmp_dir("inc-full");
-        let (mut store, _, _) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
-        let mut reg = PmoRegistry::new();
-        workload(&mut store, &mut reg);
-        store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
-        store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap();
-        assert!(dir.join(CKPT_FILE).exists());
-        store.checkpoint(reg.iter_mut()).unwrap();
-        assert!(!dir.join(CKPT_FILE).exists(), "delta log deleted");
-        assert!(!dir.join(PROT_FILE).exists(), "protection snapshot deleted");
-        drop(store);
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
-        assert_eq!(report.snapshots_installed, 1);
-        let pool = state.registry.pool(id(1)).unwrap();
-        assert_eq!(pool.allocator().live_count(), 1);
+    fn directory_with_a_retired_pool_snapshot_is_refused() {
+        let dir = tmp_dir("retired");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("pool-1.snap"), b"full image").unwrap();
+        let err = DurableStore::open(&dir).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::RetiredFormat { path } if path.ends_with("pool-1.snap")),
+            "{err}"
+        );
+        assert!(err.to_string().contains("pool-*.snap"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn async_store_gates_visibility_on_the_watermark() {
-        let dir = tmp_dir("async");
+    fn checkpoint_log_compacts_past_twice_the_resident_bytes() {
+        let dir = tmp_dir("compact");
+        let (mut store, _, _) = DurableStore::open(&dir).unwrap();
+        let mut reg = PmoRegistry::new();
+        workload(&mut store, &mut reg);
+        store.log(&WalRecord::WindowClose { pmo: id(1) }).unwrap();
+        // Rewrite the same page over and over: appends alone would grow
+        // ckpt.log by a page image per checkpoint, forever.
+        let mut bound = 0;
+        for round in 0..12u8 {
+            let pool = reg.pool_mut(id(1)).unwrap();
+            pool.write_bytes(0, &[round; 64]).unwrap();
+            store
+                .log(&WalRecord::DataWrite {
+                    pmo: id(1),
+                    offset: 0,
+                    data: vec![round; 64],
+                })
+                .unwrap();
+            store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap();
+            bound = 2 * reg_resident(&reg);
+            let len = fs::metadata(dir.join(CKPT_FILE)).unwrap().len();
+            assert!(len <= bound, "round {round}: ckpt.log {len} B > {bound} B");
+        }
+        assert!(bound > 0);
+        drop(store);
+        let (_, state, _) = DurableStore::open(&dir).unwrap();
+        let mut buf = [0u8; 64];
+        state
+            .registry
+            .pool(id(1))
+            .unwrap()
+            .read_bytes(0, &mut buf)
+            .unwrap();
+        assert_eq!(buf, [11u8; 64], "the compacted image holds the last write");
+        fs::remove_dir_all(&dir).unwrap();
+
+        fn reg_resident(reg: &PmoRegistry) -> u64 {
+            reg.iter()
+                .map(|p| p.resident_pages() as u64 * PAGE_SIZE)
+                .sum()
+        }
+    }
+
+    #[test]
+    fn torn_checkpoint_log_is_cut_before_the_next_append() {
+        let dir = tmp_dir("ckpt-torn");
+        let mut reg = PmoRegistry::new();
         {
-            let (mut store, _, _) =
-                DurableStore::open_with_mode(&dir, FsyncPolicy::Group, 64, WalMode::Async).unwrap();
-            assert!(store.is_async());
+            let (mut store, _, _) = DurableStore::open(&dir).unwrap();
+            workload(&mut store, &mut reg);
+            store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap();
+        }
+        // A crash mid-append leaves half a frame at the end of ckpt.log.
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(CKPT_FILE))
+            .unwrap();
+        f.write_all(&WalRecord::Checkpoint.encode(99)[..5]).unwrap();
+        drop(f);
+        {
+            let (mut store, recovered, report) = DurableStore::open(&dir).unwrap();
+            assert!(report.torn_tail);
+            let mut reg = recovered.registry;
+            reg.pool_mut(id(1))
+                .unwrap()
+                .write_bytes(0, b"after")
+                .unwrap();
+            store
+                .log(&WalRecord::DataWrite {
+                    pmo: id(1),
+                    offset: 0,
+                    data: b"after".to_vec(),
+                })
+                .unwrap();
+            store.checkpoint_incremental(reg.iter_mut(), &[]).unwrap();
+        }
+        let (_, state, report) = DurableStore::open(&dir).unwrap();
+        assert!(!report.torn_tail, "the tear was cut away");
+        let mut buf = [0u8; 5];
+        state
+            .registry
+            .pool(id(1))
+            .unwrap()
+            .read_bytes(0, &mut buf)
+            .unwrap();
+        assert_eq!(&buf, b"after", "the post-tear checkpoint is replayed");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_falls_due_after_checkpoint_every_records() {
+        let dir = tmp_dir("due");
+        let (mut store, _, _) = DurableStore::open(&dir).unwrap();
+        for _ in 1..CHECKPOINT_EVERY {
+            store.log(&WalRecord::Checkpoint).unwrap();
+        }
+        assert!(!store.checkpoint_due());
+        store.log(&WalRecord::Checkpoint).unwrap();
+        assert!(store.checkpoint_due());
+        store
+            .checkpoint_incremental(std::iter::empty(), &[])
+            .unwrap();
+        assert!(!store.checkpoint_due());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_gates_visibility_on_the_watermark() {
+        let dir = tmp_dir("watermark");
+        {
+            let (mut store, _, _) = DurableStore::open(&dir).unwrap();
             let mut reg = PmoRegistry::new();
             workload(&mut store, &mut reg);
             // workload ends with sync(): everything submitted is durable.
@@ -819,33 +825,13 @@ mod tests {
             ticket.wait().unwrap();
             assert!(store.watermark() > seq);
         }
-        let (_, state, report) = DurableStore::open(&dir, FsyncPolicy::Always, 1).unwrap();
+        let (_, state, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.windows_resealed, 0, "window closed before crash");
         let pool = state.registry.pool(id(1)).unwrap();
         let (off, _) = pool.allocator().live_blocks().next().unwrap();
         let mut buf = [0u8; 13];
         pool.read_bytes(off, &mut buf).unwrap();
         assert_eq!(&buf, b"durable bytes");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn async_store_incremental_checkpoint_roundtrip() {
-        let dir = tmp_dir("async-inc");
-        {
-            let (mut store, _, _) =
-                DurableStore::open_with_mode(&dir, FsyncPolicy::Group, 64, WalMode::Async).unwrap();
-            let mut reg = PmoRegistry::new();
-            workload(&mut store, &mut reg);
-            store
-                .checkpoint_incremental(reg.iter_mut(), &[WalRecord::WindowOpen { pmo: id(1) }])
-                .unwrap();
-            assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), 0);
-        }
-        let (_, state, report) =
-            DurableStore::open_with_mode(&dir, FsyncPolicy::Group, 64, WalMode::Async).unwrap();
-        assert_recovered(&state);
-        assert_eq!(report.windows_resealed, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! Stable WAL tail reads for log shipping.
 //!
 //! A replication leader tails each shard's live WAL file while the service
-//! keeps appending to it under group commit. That concurrency is exactly
+//! keeps appending to it in coalesced batches. That concurrency is exactly
 //! what makes a naive "read the file, decode, error on bad CRC" reader
 //! wrong: the reader can observe a *torn tail* — the prefix of a frame the
 //! writer is mid-`write(2)` on — which is indistinguishable, byte for byte,
@@ -11,9 +11,13 @@
 //! same offset once the writer has finished the frame.
 //!
 //! The other thing a live file can do that a crashed one cannot is *shrink*:
-//! a checkpoint truncates the WAL after snapshotting. A reader whose offset
-//! is past end-of-file is not torn, it is obsolete — [`TailStatus::Truncated`]
-//! tells the shipper to restart that shard from a fresh snapshot.
+//! a checkpoint truncates the WAL once the checkpoint log holds its effects.
+//! A reader whose offset is past end-of-file is not torn, it is obsolete.
+//! So is one whose file was truncated and has already regrown past its
+//! offset: the writer never rewrites a frame, so the reader remembers the
+//! file's first frame header and a changed one means a new log. Either way
+//! [`TailStatus::Truncated`] tells the shipper to pick that shard up from
+//! the fresh checkpoint files and read the new log from its start.
 //!
 //! Chunks carry both decoded records (for watermark accounting) and the raw
 //! validated frame bytes (so a follower can append them verbatim and end up
@@ -24,7 +28,11 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::error::PersistError;
-use crate::record::{read_log, WalRecord};
+use crate::record::{read_log, WalRecord, FRAME_HEADER};
+
+/// Bytes of the first frame a reader remembers: its length, CRC and seq.
+/// A truncated log regrows with larger seqs, so these never repeat.
+const HEAD: usize = FRAME_HEADER + 8;
 
 /// What [`TailReader::poll`] observed past the returned records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,12 +41,13 @@ pub enum TailStatus {
     /// is caught up with the writer's durable prefix.
     CaughtUp,
     /// Trailing bytes did not (yet) form a complete valid frame — a torn
-    /// tail, which under a live group-commit writer simply means the frame
+    /// tail, which under a live batching writer simply means the frame
     /// is still being written. Poll again; never treat as corruption.
     NeedMore,
-    /// The file shrank below the reader's offset (checkpoint truncation).
-    /// The offset has been reset to zero, but log shipping must restart
-    /// from a fresh snapshot — intervening records are gone.
+    /// The file was truncated under the reader (a checkpoint): it shrank
+    /// below the reader's offset, or its first frame changed. No records
+    /// are returned and the offset is reset to zero; the records between
+    /// the last poll and the truncation are only in the checkpoint files.
     Truncated,
 }
 
@@ -58,12 +67,12 @@ pub struct TailChunk {
 /// Incremental reader over a live WAL file.
 ///
 /// ```
-/// use terp_persist::{FsyncPolicy, TailReader, TailStatus, WalRecord, WalWriter};
+/// use terp_persist::{TailReader, TailStatus, WalRecord, WalWriter};
 /// # fn main() -> Result<(), terp_persist::PersistError> {
 /// let dir = std::env::temp_dir().join(format!("terp-tail-doc-{}", std::process::id()));
 /// std::fs::create_dir_all(&dir)?;
 /// let path = dir.join("wal.log");
-/// let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Always, 1)?;
+/// let (mut w, _) = WalWriter::open(&path)?;
 /// w.append(&WalRecord::Checkpoint)?;
 ///
 /// let mut tail = TailReader::new(&path);
@@ -79,6 +88,8 @@ pub struct TailChunk {
 pub struct TailReader {
     path: PathBuf,
     offset: u64,
+    /// The file's first frame header, once a poll decoded it.
+    head: Option<[u8; HEAD]>,
 }
 
 impl TailReader {
@@ -88,14 +99,7 @@ impl TailReader {
         TailReader {
             path: path.to_path_buf(),
             offset: 0,
-        }
-    }
-
-    /// A reader positioned at `offset` (bytes of log already shipped).
-    pub fn at_offset(path: &Path, offset: u64) -> Self {
-        TailReader {
-            path: path.to_path_buf(),
-            offset,
+            head: None,
         }
     }
 
@@ -127,19 +131,31 @@ impl TailReader {
         let len = file.metadata()?.len();
         if len < self.offset {
             // Checkpoint truncated the log out from under us.
-            self.offset = 0;
-            return Ok(TailChunk {
-                records: Vec::new(),
-                bytes: Vec::new(),
-                status: TailStatus::Truncated,
-            });
+            return Ok(self.truncated());
         }
         file.seek(SeekFrom::Start(self.offset))?;
         let mut raw = Vec::with_capacity((len - self.offset) as usize);
         file.read_to_end(&mut raw)?;
+        if let Some(head) = self.head {
+            // Checked after the read: if the first frame is unchanged now,
+            // no truncation preceded the read and `raw` is this log's.
+            let mut now = [0u8; HEAD];
+            file.seek(SeekFrom::Start(0))?;
+            let same = match file.read_exact(&mut now) {
+                Ok(()) => now == head,
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => false,
+                Err(e) => return Err(e.into()),
+            };
+            if !same {
+                return Ok(self.truncated());
+            }
+        }
 
         let decoded = read_log(&raw);
         let bytes = raw[..decoded.consumed].to_vec();
+        if self.offset == 0 && decoded.consumed >= HEAD {
+            self.head = Some(raw[..HEAD].try_into().expect("HEAD bytes"));
+        }
         self.offset += decoded.consumed as u64;
         Ok(TailChunk {
             records: decoded.records,
@@ -151,12 +167,22 @@ impl TailReader {
             },
         })
     }
+
+    fn truncated(&mut self) -> TailChunk {
+        self.offset = 0;
+        self.head = None;
+        TailChunk {
+            records: Vec::new(),
+            bytes: Vec::new(),
+            status: TailStatus::Truncated,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{FsyncPolicy, WalWriter};
+    use crate::wal::WalWriter;
     use terp_pmo::PmoId;
 
     fn rec(n: u64) -> WalRecord {
@@ -188,7 +214,7 @@ mod tests {
     fn incremental_polls_return_only_new_frames() {
         let dir = temp_dir("incr");
         let path = dir.join("wal.log");
-        let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Always, 1).unwrap();
+        let (mut w, _) = WalWriter::open(&path).unwrap();
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
 
@@ -233,7 +259,7 @@ mod tests {
     fn checkpoint_truncation_is_reported_and_resets() {
         let dir = temp_dir("trunc");
         let path = dir.join("wal.log");
-        let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Always, 1).unwrap();
+        let (mut w, _) = WalWriter::open(&path).unwrap();
         for n in 0..4 {
             w.append(&rec(n)).unwrap();
         }
@@ -254,8 +280,41 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A log truncated and regrown past the reader's offset between two
+    /// polls must not read as torn forever (or decode the new log from the
+    /// middle): the changed first frame reports the truncation.
+    #[test]
+    fn truncation_regrown_past_the_offset_is_reported() {
+        let dir = temp_dir("regrow");
+        let path = dir.join("wal.log");
+        let (mut w, _) = WalWriter::open(&path).unwrap();
+        for n in 0..4 {
+            w.append(&rec(n)).unwrap();
+        }
+        let mut tail = TailReader::new(&path);
+        assert_eq!(tail.poll().unwrap().records.len(), 4);
+
+        w.truncate().unwrap();
+        // Larger records, so the old offset lands mid-frame.
+        for n in 4..12 {
+            w.append(&WalRecord::DataWrite {
+                pmo: PmoId::new(1).unwrap(),
+                offset: n,
+                data: vec![n as u8; 40],
+            })
+            .unwrap();
+        }
+        let chunk = tail.poll().unwrap();
+        assert_eq!(chunk.status, TailStatus::Truncated);
+        assert!(chunk.records.is_empty());
+        let chunk = tail.poll().unwrap();
+        let seqs: Vec<u64> = chunk.records.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, (4..12).collect::<Vec<_>>(), "the new log, whole");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// The satellite regression: a reader polling a WAL under concurrent
-    /// group-commit appends must never see an error — torn observations are
+    /// batched appends must never see an error — torn observations are
     /// `NeedMore` — and must eventually observe every record, in order,
     /// exactly once.
     #[test]
@@ -267,16 +326,18 @@ mod tests {
         std::thread::scope(|scope| {
             let writer_path = path.clone();
             scope.spawn(move || {
-                // Group commit so multi-frame batches hit the file in single
-                // writes the reader can race against.
-                let (mut w, _) = WalWriter::open(&writer_path, FsyncPolicy::Group, 7).unwrap();
-                for n in 0..total {
-                    w.append(&rec(n)).unwrap();
-                    if n % 13 == 0 {
-                        std::thread::yield_now();
+                // Multi-frame batches hit the file in single writes the
+                // reader can race against.
+                let (mut w, _) = WalWriter::open(&writer_path).unwrap();
+                for first in (0..total).step_by(7) {
+                    let mut batch = Vec::new();
+                    let last = (first + 7).min(total);
+                    for n in first..last {
+                        rec(n).encode_into(n, &mut batch);
                     }
+                    w.append_frames(&batch, last - first).unwrap();
+                    std::thread::yield_now();
                 }
-                w.sync().unwrap();
             });
 
             let mut tail = TailReader::new(&path);

@@ -1,21 +1,16 @@
-//! Group-commit write-ahead log writer.
+//! The write-ahead log sink.
 //!
 //! A [`WalWriter`] appends [`WalRecord`]s to a sink — a file on disk or an
-//! in-memory buffer (used by tests and the crash-injection harness). Records
-//! become *durable* only when they reach the sink; the [`FsyncPolicy`]
-//! decides how eagerly that happens:
-//!
-//! * [`FsyncPolicy::Always`] — write + fsync after every record. Slowest,
-//!   loses nothing.
-//! * [`FsyncPolicy::Group`] — buffer up to `group` records, then write +
-//!   fsync the batch (classic group commit). A crash loses at most the
-//!   unflushed tail, which the frame format is designed to detect.
-//! * [`FsyncPolicy::Os`] — write records through but never fsync; the OS
-//!   decides when bytes hit media. Fastest, weakest.
+//! in-memory buffer (used by tests and the crash-injection harness). Every
+//! append is written and synced before it returns, so the sink only ever
+//! holds whole, durable frames. Batching belongs to the pipelined writer
+//! ([`crate::AsyncWalWriter`]), whose background thread owns the file
+//! sink and hands it one pre-encoded batch per fsync
+//! ([`WalWriter::append_frames`]).
 //!
 //! Sequence numbers are assigned at append time and keep increasing across
-//! checkpoint truncation, so snapshot `wal_seq` watermarks stay comparable
-//! to every later record.
+//! checkpoint truncation, so checkpoint watermarks stay comparable to every
+//! later record.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -24,38 +19,12 @@ use std::path::Path;
 use crate::error::PersistError;
 use crate::record::{read_log, LogContents, WalRecord};
 
-/// When appended records are flushed and fsynced to the sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Write and fsync after every record.
-    Always,
-    /// Write and fsync after every `group`-record batch.
-    Group,
-    /// Write records through immediately but never fsync.
-    Os,
-}
-
-impl FsyncPolicy {
-    /// Parses a policy name (`always` / `group` / `os`), as used by CLI
-    /// flags and config files.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "always" => Some(FsyncPolicy::Always),
-            "group" => Some(FsyncPolicy::Group),
-            "os" => Some(FsyncPolicy::Os),
-            _ => None,
-        }
-    }
-}
-
 /// Counters describing writer activity since creation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WalStats {
     /// Records appended.
     pub appended: u64,
-    /// Batches written to the sink.
-    pub flushes: u64,
-    /// fsync calls issued.
+    /// fsync calls issued: one per written batch, plus one per truncation.
     pub syncs: u64,
     /// Bytes written to the sink.
     pub bytes: u64,
@@ -67,44 +36,10 @@ enum Sink {
     Mem(Vec<u8>),
 }
 
-impl Sink {
-    fn write_all(&mut self, buf: &[u8]) -> Result<(), PersistError> {
-        match self {
-            Sink::File(f) => f.write_all(buf)?,
-            Sink::Mem(v) => v.extend_from_slice(buf),
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<(), PersistError> {
-        if let Sink::File(f) = self {
-            f.sync_data()?;
-        }
-        Ok(())
-    }
-
-    fn truncate(&mut self) -> Result<(), PersistError> {
-        match self {
-            Sink::File(f) => {
-                f.set_len(0)?;
-                f.seek(SeekFrom::Start(0))?;
-            }
-            Sink::Mem(v) => v.clear(),
-        }
-        Ok(())
-    }
-}
-
 /// Append-only writer over one log sink.
 #[derive(Debug)]
 pub struct WalWriter {
     sink: Sink,
-    policy: FsyncPolicy,
-    group: usize,
-    /// Encoded frames appended but not yet written to the sink — the bytes
-    /// a crash right now would lose.
-    pending: Vec<u8>,
-    pending_records: usize,
     next_seq: u64,
     stats: WalStats,
 }
@@ -115,11 +50,7 @@ impl WalWriter {
     /// last valid record. Returns the writer and the decoded contents;
     /// a torn tail is physically truncated away so the file ends on a
     /// record boundary.
-    pub fn open(
-        path: &Path,
-        policy: FsyncPolicy,
-        group: usize,
-    ) -> Result<(Self, LogContents), PersistError> {
+    pub fn open(path: &Path) -> Result<(Self, LogContents), PersistError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -135,93 +66,62 @@ impl WalWriter {
         }
         file.seek(SeekFrom::Start(contents.consumed as u64))?;
         let next_seq = contents.last_seq().map_or(0, |s| s + 1);
-        Ok((
-            Self::with_sink(Sink::File(file), policy, group, next_seq),
-            contents,
-        ))
+        Ok((Self::with_sink(Sink::File(file), next_seq), contents))
     }
 
     /// Creates an in-memory log (tests and the crash-injection harness).
-    pub fn in_memory(policy: FsyncPolicy, group: usize) -> Self {
-        Self::with_sink(Sink::Mem(Vec::new()), policy, group, 0)
+    pub fn in_memory() -> Self {
+        Self::with_sink(Sink::Mem(Vec::new()), 0)
     }
 
-    fn with_sink(sink: Sink, policy: FsyncPolicy, group: usize, next_seq: u64) -> Self {
+    fn with_sink(sink: Sink, next_seq: u64) -> Self {
         WalWriter {
             sink,
-            policy,
-            group: group.max(1),
-            pending: Vec::new(),
-            pending_records: 0,
             next_seq,
             stats: WalStats::default(),
         }
     }
 
-    /// Appends one record, returning its sequence number. Depending on the
-    /// policy the record may still be buffered (not yet durable) when this
-    /// returns; call [`Self::sync`] to force it down.
+    /// Appends one record, writes and syncs it, and returns its sequence
+    /// number: the record is durable when this returns.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, PersistError> {
         let seq = self.next_seq;
+        self.append_frames(&record.encode(seq), 1)?;
         self.next_seq += 1;
-        self.pending.extend_from_slice(&record.encode(seq));
-        self.pending_records += 1;
-        self.stats.appended += 1;
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::Group => {
-                if self.pending_records >= self.group {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Os => self.flush()?,
-        }
         Ok(seq)
     }
 
-    /// Appends `count` pre-encoded frames (already CRC-framed, sequence
-    /// numbers assigned by the caller) and forces them to media. This is the
-    /// background-writer entry point: the async pipeline encodes and
-    /// sequences records on the submission side and hands the writer thread
-    /// opaque batches to write + fsync in one go.
+    /// Writes `count` pre-encoded frames (already CRC-framed, sequence
+    /// numbers assigned by the caller) and syncs them in one go. This is the
+    /// background writer's entry point: the pipeline encodes and sequences
+    /// records on the submission side and hands the writer thread opaque
+    /// batches.
     pub fn append_frames(&mut self, frames: &[u8], count: u64) -> Result<(), PersistError> {
-        self.pending.extend_from_slice(frames);
-        self.pending_records += count as usize;
-        self.stats.appended += count;
-        self.sync()
-    }
-
-    /// Writes buffered records to the sink without forcing them to media.
-    pub fn flush(&mut self) -> Result<(), PersistError> {
-        if self.pending.is_empty() {
-            return Ok(());
+        match &mut self.sink {
+            Sink::File(f) => {
+                f.write_all(frames)?;
+                f.sync_data()?;
+            }
+            Sink::Mem(v) => v.extend_from_slice(frames),
         }
-        self.sink.write_all(&self.pending)?;
-        self.stats.flushes += 1;
-        self.stats.bytes += self.pending.len() as u64;
-        self.pending.clear();
-        self.pending_records = 0;
-        Ok(())
-    }
-
-    /// Flushes buffered records and fsyncs the sink — everything appended so
-    /// far is durable when this returns.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.flush()?;
-        self.sink.sync()?;
+        self.stats.appended += count;
         self.stats.syncs += 1;
+        self.stats.bytes += frames.len() as u64;
         Ok(())
     }
 
     /// Truncates the log after a checkpoint: the sink is emptied but
-    /// sequence numbers keep increasing, so snapshot watermarks remain
-    /// comparable to post-checkpoint records. Buffered records are dropped
-    /// too — the checkpoint already made their effects durable.
+    /// sequence numbers keep increasing, so checkpoint watermarks remain
+    /// comparable to post-checkpoint records.
     pub fn truncate(&mut self) -> Result<(), PersistError> {
-        self.pending.clear();
-        self.pending_records = 0;
-        self.sink.truncate()?;
-        self.sink.sync()?;
+        match &mut self.sink {
+            Sink::File(f) => {
+                f.set_len(0)?;
+                f.seek(SeekFrom::Start(0))?;
+                f.sync_data()?;
+            }
+            Sink::Mem(v) => v.clear(),
+        }
         self.stats.syncs += 1;
         Ok(())
     }
@@ -237,36 +137,18 @@ impl WalWriter {
         self.next_seq = seq;
     }
 
-    /// Number of appended-but-unflushed records (would be lost by a crash).
-    pub fn pending_records(&self) -> usize {
-        self.pending_records
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> WalStats {
         self.stats
     }
 
-    /// The *durable* byte image of an in-memory log: what a crash right now
-    /// would leave on "disk" (buffered records excluded). Returns `None`
-    /// for file-backed sinks — read the file instead.
+    /// The byte image of an in-memory log: what a crash right now would
+    /// leave on "disk". Returns `None` for file-backed sinks — read the
+    /// file instead.
     pub fn durable_bytes(&self) -> Option<&[u8]> {
         match &self.sink {
             Sink::Mem(v) => Some(v),
             Sink::File(_) => None,
-        }
-    }
-}
-
-impl Drop for WalWriter {
-    /// Best-effort flush of buffered group-commit records. Without this,
-    /// dropping a writer mid-batch silently lost every record appended since
-    /// the last sync — records whose `append` already returned `Ok`. Clean
-    /// shutdown paths still must call [`Self::sync`] (or checkpoint)
-    /// explicitly: a `Drop` cannot report an I/O failure, it can only try.
-    fn drop(&mut self) {
-        if self.pending_records > 0 {
-            let _ = self.sync();
         }
     }
 }
@@ -285,23 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_buffers_until_batch_is_full() {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Group, 4);
-        for n in 0..3 {
-            w.append(&rec(n)).unwrap();
-        }
-        assert_eq!(w.pending_records(), 3);
-        assert_eq!(w.durable_bytes().unwrap().len(), 0, "batch not yet durable");
-        w.append(&rec(3)).unwrap();
-        assert_eq!(w.pending_records(), 0);
-        let decoded = read_log(w.durable_bytes().unwrap());
-        assert_eq!(decoded.records.len(), 4);
-        assert_eq!(w.stats().syncs, 1);
-    }
-
-    #[test]
-    fn always_policy_makes_every_record_durable() {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Always, 64);
+    fn every_append_is_durable() {
+        let mut w = WalWriter::in_memory();
         for n in 0..5 {
             w.append(&rec(n)).unwrap();
             let decoded = read_log(w.durable_bytes().unwrap());
@@ -312,7 +179,7 @@ mod tests {
 
     #[test]
     fn sequence_numbers_survive_truncation() {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Always, 1);
+        let mut w = WalWriter::in_memory();
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
         w.truncate().unwrap();
@@ -322,47 +189,13 @@ mod tests {
     }
 
     #[test]
-    fn drop_flushes_buffered_group_commit_records() {
-        let dir = std::env::temp_dir().join(format!("terp-wal-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("drop.wal");
-        let _ = std::fs::remove_file(&path);
-
-        {
-            let (mut w, _) = WalWriter::open(&path, FsyncPolicy::Group, 64).unwrap();
-            for n in 0..5 {
-                w.append(&rec(n)).unwrap();
-            }
-            assert_eq!(w.pending_records(), 5, "batch still buffered");
-            // Dropped mid-batch without an explicit flush: the Drop impl
-            // must not silently lose the 5 acknowledged appends.
-        }
-        let (_, contents) = WalWriter::open(&path, FsyncPolicy::Group, 64).unwrap();
-        assert_eq!(contents.records.len(), 5, "flush-on-drop preserved them");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn explicit_sync_leaves_nothing_for_drop() {
-        // The clean-shutdown contract: sync() empties the buffer, so the
-        // best-effort Drop has nothing left to rescue.
-        let mut w = WalWriter::in_memory(FsyncPolicy::Group, 8);
-        for n in 0..3 {
-            w.append(&rec(n)).unwrap();
-        }
-        w.sync().unwrap();
-        assert_eq!(w.pending_records(), 0);
-    }
-
-    #[test]
     fn append_frames_writes_and_syncs_preencoded_batches() {
-        let mut w = WalWriter::in_memory(FsyncPolicy::Group, 1024);
+        let mut w = WalWriter::in_memory();
         let mut batch = Vec::new();
         for n in 0..4u64 {
             batch.extend_from_slice(&rec(n).encode(n));
         }
         w.append_frames(&batch, 4).unwrap();
-        assert_eq!(w.pending_records(), 0, "append_frames is write+fsync");
         let decoded = read_log(w.durable_bytes().unwrap());
         assert_eq!(decoded.records.len(), 4);
         assert_eq!(w.stats().appended, 4);
@@ -376,7 +209,7 @@ mod tests {
         let path = dir.join("test.wal");
         let _ = std::fs::remove_file(&path);
 
-        let (mut w, initial) = WalWriter::open(&path, FsyncPolicy::Always, 1).unwrap();
+        let (mut w, initial) = WalWriter::open(&path).unwrap();
         assert!(initial.records.is_empty());
         for n in 0..4 {
             w.append(&rec(n)).unwrap();
@@ -389,7 +222,7 @@ mod tests {
         f.set_len(len - 3).unwrap();
         drop(f);
 
-        let (w2, contents) = WalWriter::open(&path, FsyncPolicy::Always, 1).unwrap();
+        let (w2, contents) = WalWriter::open(&path).unwrap();
         assert_eq!(contents.records.len(), 3, "torn final record dropped");
         assert!(contents.dropped > 0);
         assert_eq!(w2.next_seq(), 3);

@@ -1,10 +1,11 @@
 //! Pipelined asynchronous log writer: submit/durable split with a
 //! durability watermark.
 //!
-//! The group-commit [`crate::WalWriter`] serializes every caller behind the
-//! current fsync batch: under contention, threads queue up on the store
-//! mutex while one of them waits out an fsync. This module decouples
-//! *submission* from *durability*:
+//! An inline writer serializes every caller behind the current fsync:
+//! under contention, threads queue up on the store mutex while one of them
+//! waits out an fsync. This module decouples *submission* from
+//! *durability*, and is the only way a [`crate::DurableStore`] reaches its
+//! log:
 //!
 //! * [`AsyncWalWriter::append`] assigns the record's sequence number and
 //!   encodes its frame *directly into a shared batch buffer* (no per-record
@@ -21,6 +22,11 @@
 //!   watermark: [`DurabilityGate::wait_for`] blocks until every record up
 //!   to a sequence number is fsynced, and a [`DurableTicket`] packages that
 //!   wait for one specific append.
+//! * Work that must sit at a fixed point of the log — a checkpoint writing
+//!   its files and truncating the WAL — is posted as a
+//!   [`AsyncWalWriter::barrier`] job: the writer thread runs it once every
+//!   record submitted before it is durable and before it writes any record
+//!   submitted after it, so the submitter never waits for its I/O.
 //!
 //! The effect is classic pipelining: while batch *n* is inside fsync,
 //! batch *n + 1* accumulates in the submit buffer, so the fsync cost is
@@ -31,38 +37,14 @@
 //! record is durable, which is exactly the prefix property crash recovery
 //! replays.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::error::PersistError;
 use crate::record::WalRecord;
 use crate::wal::{WalStats, WalWriter};
-
-/// How a [`crate::DurableStore`] drives its write-ahead log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalMode {
-    /// Synchronous: the caller's thread writes (and, per the
-    /// [`crate::FsyncPolicy`], fsyncs) inline while holding the store.
-    #[default]
-    Sync,
-    /// Pipelined: appends return at submit; a per-store background writer
-    /// batches, writes, and fsyncs, publishing a durability watermark. The
-    /// fsync policy is moot in this mode — every drained batch is fsynced,
-    /// so the watermark never lies.
-    Async,
-}
-
-impl WalMode {
-    /// Parses a mode name (`sync` / `async`), as used by CLI flags.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "sync" => Some(WalMode::Sync),
-            "async" => Some(WalMode::Async),
-            _ => None,
-        }
-    }
-}
 
 /// The shared durability watermark: the synchronization point between log
 /// submitters, the background writer, and anyone who must not act before a
@@ -225,6 +207,55 @@ const HIGH_WATER: usize = 4 << 20;
 const COALESCE_MIN: std::time::Duration = std::time::Duration::from_micros(100);
 const COALESCE_MAX: std::time::Duration = std::time::Duration::from_micros(3_000);
 
+/// Work the writer thread runs between two records of the log (see
+/// [`AsyncWalWriter::barrier`]).
+pub type BarrierJob = Box<dyn FnOnce(&mut WalWriter) -> Result<(), PersistError> + Send>;
+
+/// Completion handle of a [`AsyncWalWriter::barrier`] job.
+#[derive(Debug)]
+pub struct BarrierTicket {
+    done: mpsc::Receiver<()>,
+    gate: Arc<DurabilityGate>,
+}
+
+impl BarrierTicket {
+    /// Blocks until the job has run.
+    ///
+    /// # Errors
+    ///
+    /// The writer's I/O error if the job, or a write before it, failed.
+    pub fn wait(self) -> Result<(), PersistError> {
+        self.done.recv().or_else(|_| {
+            self.gate.check()?;
+            Err(writer_gone())
+        })
+    }
+}
+
+fn writer_gone() -> PersistError {
+    PersistError::Io(std::io::Error::other("wal writer thread gone"))
+}
+
+/// A posted barrier job and the point of the batch buffer it belongs at.
+struct Barrier {
+    /// `buf` length, record count and last seq when the job was posted:
+    /// the records it runs after.
+    at: usize,
+    count: u64,
+    last_seq: u64,
+    job: BarrierJob,
+    done: mpsc::SyncSender<()>,
+}
+
+impl fmt::Debug for Barrier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Barrier")
+            .field("at", &self.at)
+            .field("count", &self.count)
+            .finish_non_exhaustive()
+    }
+}
+
 /// The submit/writer rendezvous: a double-buffered batch. Submitters
 /// encode frames onto `buf` under the mutex; the writer thread swaps the
 /// whole buffer out (O(1)) and flushes it while the next batch accumulates.
@@ -238,10 +269,8 @@ struct PipeState {
     last_seq: u64,
     /// Submission handle dropped: flush what remains, then exit.
     closed: bool,
-    /// A truncation request is pending (ordered after `buf`'s records).
-    truncate: bool,
-    /// The writer's answer to the pending truncation.
-    trunc_result: Option<Result<(), String>>,
+    /// A barrier job posted into `buf` (at most one at a time).
+    barrier: Option<Barrier>,
     /// The writer thread died (I/O failure): stop blocking on it.
     dead: bool,
 }
@@ -251,14 +280,13 @@ struct Pipe {
     state: Mutex<PipeState>,
     /// Writer thread waits here for work.
     work: Condvar,
-    /// Submitters wait here for backpressure / truncation completion.
+    /// Submitters wait here for backpressure / a free barrier slot.
     space: Condvar,
 }
 
 #[derive(Debug, Default)]
 struct SharedStats {
     appended: AtomicU64,
-    flushes: AtomicU64,
     syncs: AtomicU64,
     bytes: AtomicU64,
     /// Largest single batch the writer drained (observability for the
@@ -326,9 +354,7 @@ impl AsyncWalWriter {
         if st.dead {
             drop(st);
             self.gate.check()?;
-            return Err(PersistError::Io(std::io::Error::other(
-                "wal writer thread gone",
-            )));
+            return Err(writer_gone());
         }
         record.encode_into(seq, &mut st.buf);
         st.count += 1;
@@ -349,43 +375,38 @@ impl AsyncWalWriter {
         }
     }
 
-    /// Truncates the log file (checkpoint), synchronously: returns once the
-    /// writer thread has flushed everything submitted before this call and
-    /// then emptied the file. Sequence numbers keep increasing, mirroring
-    /// [`WalWriter::truncate`].
-    pub fn truncate(&mut self) -> Result<(), PersistError> {
+    /// Posts `job` to run on the writer thread at this point of the log:
+    /// after every record submitted so far is durable, and before any record
+    /// submitted later is written. Returns at once; wait on the ticket for
+    /// the job to finish. A failing job poisons the writer like a failed
+    /// write: no later record becomes durable.
+    ///
+    /// # Errors
+    ///
+    /// The writer thread's stored I/O error.
+    pub fn barrier(&mut self, job: BarrierJob) -> Result<BarrierTicket, PersistError> {
+        let (done, rx) = mpsc::sync_channel(1);
         let mut st = self.pipe.state.lock().expect("pipe mutex");
+        while st.barrier.is_some() && !st.dead {
+            st = self.pipe.space.wait(st).expect("pipe mutex");
+        }
         if st.dead {
             drop(st);
             self.gate.check()?;
-            return Err(PersistError::Io(std::io::Error::other(
-                "wal writer thread gone",
-            )));
+            return Err(writer_gone());
         }
-        st.truncate = true;
+        st.barrier = Some(Barrier {
+            at: st.buf.len(),
+            count: st.count,
+            last_seq: st.last_seq,
+            job,
+            done,
+        });
         self.pipe.work.notify_one();
-        loop {
-            if let Some(res) = st.trunc_result.take() {
-                drop(st);
-                return match res {
-                    Ok(()) => {
-                        // Records flushed before the truncation were
-                        // checkpointed; waiters on them must not hang.
-                        self.gate.advance(self.next_seq);
-                        Ok(())
-                    }
-                    Err(msg) => Err(PersistError::Io(std::io::Error::other(msg))),
-                };
-            }
-            if st.dead {
-                drop(st);
-                self.gate.check()?;
-                return Err(PersistError::Io(std::io::Error::other(
-                    "wal writer thread gone",
-                )));
-            }
-            st = self.pipe.space.wait(st).expect("pipe mutex");
-        }
+        Ok(BarrierTicket {
+            done: rx,
+            gate: Arc::clone(&self.gate),
+        })
     }
 
     /// The shared durability gate (watermark + completion notification).
@@ -409,7 +430,6 @@ impl AsyncWalWriter {
     pub fn stats(&self) -> WalStats {
         WalStats {
             appended: self.stats.appended.load(Ordering::Relaxed),
-            flushes: self.stats.flushes.load(Ordering::Relaxed),
             syncs: self.stats.syncs.load(Ordering::Relaxed),
             bytes: self.stats.bytes.load(Ordering::Relaxed),
         }
@@ -437,9 +457,33 @@ impl Drop for AsyncWalWriter {
     }
 }
 
+/// Writes and fsyncs one run of frames, then publishes the watermark —
+/// never before the fsync.
+fn flush(
+    wal: &mut WalWriter,
+    frames: &[u8],
+    count: u64,
+    last_seq: u64,
+    gate: &DurabilityGate,
+    stats: &SharedStats,
+) -> Result<(), PersistError> {
+    if count == 0 {
+        return Ok(());
+    }
+    wal.append_frames(frames, count)?;
+    gate.advance(last_seq + 1);
+    stats.appended.fetch_add(count, Ordering::Relaxed);
+    stats.syncs.fetch_add(1, Ordering::Relaxed);
+    stats
+        .bytes
+        .fetch_add(frames.len() as u64, Ordering::Relaxed);
+    stats.max_batch.fetch_max(count, Ordering::Relaxed);
+    Ok(())
+}
+
 /// The background writer: swap the accumulated batch out under the lock,
-/// one write + one fsync per swap, watermark published after the fsync —
-/// never before.
+/// then one write + one fsync per swap — split in two around a barrier job,
+/// which runs between the records submitted before and after it.
 fn writer_loop(
     mut wal: WalWriter,
     pipe: Arc<Pipe>,
@@ -451,14 +495,14 @@ fn writer_loop(
     let mut batch: Vec<u8> = Vec::with_capacity(64 << 10);
     let mut dwell = std::time::Duration::ZERO;
     loop {
-        let (count, last_seq, trunc) = {
+        let (count, last_seq, barrier) = {
             let mut st = pipe.state.lock().expect("pipe mutex");
             let mut idled = false;
-            while st.count == 0 && !st.truncate && !st.closed {
+            while st.count == 0 && st.barrier.is_none() && !st.closed {
                 st = pipe.work.wait(st).expect("pipe mutex");
                 idled = true;
             }
-            if st.count == 0 && !st.truncate && st.closed {
+            if st.count == 0 && st.barrier.is_none() && st.closed {
                 return;
             }
             // Adapt the coalescing dwell to the arrival pattern: work
@@ -473,7 +517,11 @@ fn writer_loop(
             } else {
                 (dwell * 2).min(COALESCE_MAX)
             };
-            if !dwell.is_zero() && !st.truncate && !st.closed && st.buf.len() < HIGH_WATER / 2 {
+            if !dwell.is_zero()
+                && st.barrier.is_none()
+                && !st.closed
+                && st.buf.len() < HIGH_WATER / 2
+            {
                 drop(st);
                 std::thread::sleep(dwell);
                 st = pipe.state.lock().expect("pipe mutex");
@@ -481,50 +529,51 @@ fn writer_loop(
             batch.clear();
             std::mem::swap(&mut st.buf, &mut batch);
             let count = std::mem::take(&mut st.count);
-            let trunc = std::mem::take(&mut st.truncate);
+            // Taken with the buffer it points into.
+            let barrier = st.barrier.take();
             // Backpressured submitters can refill the (now empty) buffer.
             pipe.space.notify_all();
-            (count, st.last_seq, trunc)
+            (count, st.last_seq, barrier)
         };
 
-        if count > 0 {
-            if let Err(e) = wal.append_frames(&batch, count) {
-                let msg = e.to_string();
-                gate.fail(msg.clone());
-                let mut st = pipe.state.lock().expect("pipe mutex");
-                st.dead = true;
-                if trunc {
-                    st.trunc_result = Some(Err(msg));
+        let (at, head, head_last) = barrier
+            .as_ref()
+            .map_or((batch.len(), count, last_seq), |b| {
+                (b.at, b.count, b.last_seq)
+            });
+        // The job's ticket is answered last: a waiter woken by a failure
+        // must already find the gate poisoned.
+        let mut done = None;
+        let result = flush(&mut wal, &batch[..at], head, head_last, &gate, &stats)
+            .and_then(|()| match barrier {
+                Some(b) => {
+                    done = Some(b.done);
+                    (b.job)(&mut wal)
                 }
-                pipe.space.notify_all();
-                return;
-            }
-            gate.advance(last_seq + 1);
-            stats.appended.fetch_add(count, Ordering::Relaxed);
-            stats.flushes.fetch_add(1, Ordering::Relaxed);
-            stats.syncs.fetch_add(1, Ordering::Relaxed);
-            stats.bytes.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            stats.max_batch.fetch_max(count, Ordering::Relaxed);
-        }
-
-        if trunc {
-            // Ordered after the flush above: everything submitted before
-            // the truncation request is on media (and checkpointed by the
-            // caller) before the file empties.
-            let res = wal.truncate().map_err(|e| e.to_string());
-            let failed = res.is_err();
-            if let Err(msg) = &res {
-                gate.fail(msg.clone());
-            }
+                None => Ok(()),
+            })
+            .and_then(|()| {
+                flush(
+                    &mut wal,
+                    &batch[at..],
+                    count - head,
+                    last_seq,
+                    &gate,
+                    &stats,
+                )
+            });
+        if let Err(e) = result {
+            gate.fail(e.to_string());
             let mut st = pipe.state.lock().expect("pipe mutex");
-            st.trunc_result = Some(res);
-            if failed {
-                st.dead = true;
-            }
+            st.dead = true;
+            // A job posted after this batch will never run: drop it, so
+            // its ticket reports the error instead of waiting forever.
+            st.barrier = None;
             pipe.space.notify_all();
-            if failed {
-                return;
-            }
+            return;
+        }
+        if let Some(done) = done {
+            let _ = done.send(());
         }
     }
 }
@@ -533,7 +582,6 @@ fn writer_loop(
 mod tests {
     use super::*;
     use crate::record::read_log;
-    use crate::wal::FsyncPolicy;
     use std::path::PathBuf;
     use terp_pmo::PmoId;
 
@@ -556,7 +604,7 @@ mod tests {
     fn appends_return_at_submit_and_sync_waits_for_all() {
         let dir = temp_dir("submit");
         let path = dir.join("wal.log");
-        let (wal, _) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+        let (wal, _) = WalWriter::open(&path).unwrap();
         let mut w = AsyncWalWriter::spawn(wal);
         for n in 0..100 {
             assert_eq!(w.append(&rec(n)).unwrap(), n);
@@ -573,7 +621,7 @@ mod tests {
     #[test]
     fn watermark_is_monotonic_and_tickets_complete() {
         let dir = temp_dir("ticket");
-        let (wal, _) = WalWriter::open(&dir.join("wal.log"), FsyncPolicy::Group, 32).unwrap();
+        let (wal, _) = WalWriter::open(&dir.join("wal.log")).unwrap();
         let mut w = AsyncWalWriter::spawn(wal);
         let gate = w.gate();
         let mut last = gate.watermark();
@@ -597,7 +645,7 @@ mod tests {
         let dir = temp_dir("drain");
         let path = dir.join("wal.log");
         {
-            let (wal, _) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+            let (wal, _) = WalWriter::open(&path).unwrap();
             let mut w = AsyncWalWriter::spawn(wal);
             for n in 0..50 {
                 w.append(&rec(n)).unwrap();
@@ -611,20 +659,49 @@ mod tests {
     }
 
     #[test]
-    fn truncate_is_synchronous_and_seq_keeps_increasing() {
-        let dir = temp_dir("trunc");
+    fn barrier_runs_between_earlier_and_later_records() {
+        let dir = temp_dir("barrier");
         let path = dir.join("wal.log");
-        let (wal, _) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+        let (wal, _) = WalWriter::open(&path).unwrap();
         let mut w = AsyncWalWriter::spawn(wal);
         for n in 0..10 {
             w.append(&rec(n)).unwrap();
         }
-        w.truncate().unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let job_seen = std::sync::Arc::clone(&seen);
+        let job_path = path.clone();
+        let done = w
+            .barrier(Box::new(move |wal: &mut WalWriter| {
+                // Everything before the barrier is on disk, nothing after.
+                *job_seen.lock().unwrap() =
+                    Some(read_log(&std::fs::read(&job_path).unwrap()).records.len());
+                wal.truncate()
+            }))
+            .unwrap();
         let seq = w.append(&rec(99)).unwrap();
         assert_eq!(seq, 10, "sequence numbers survive truncation");
+        done.wait().unwrap();
         w.sync().unwrap();
-        assert_eq!(read_log(&std::fs::read(&path).unwrap()).records.len(), 1);
+        assert_eq!(*seen.lock().unwrap(), Some(10));
+        let after = read_log(&std::fs::read(&path).unwrap());
+        assert_eq!(after.records.len(), 1, "only the later record survives");
+        assert_eq!(after.records[0].0, 10);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_barrier_poisons_the_writer() {
+        let dir = temp_dir("barrier-fail");
+        let (wal, _) = WalWriter::open(&dir.join("wal.log")).unwrap();
+        let mut w = AsyncWalWriter::spawn(wal);
+        w.append(&rec(0)).unwrap();
+        let done = w
+            .barrier(Box::new(|_: &mut WalWriter| {
+                Err(PersistError::Io(std::io::Error::other("disk full")))
+            }))
+            .unwrap();
+        assert!(done.wait().is_err());
+        assert!(w.append(&rec(1)).is_err(), "no append after a failed job");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -633,13 +710,13 @@ mod tests {
         let dir = temp_dir("reopen");
         let path = dir.join("wal.log");
         {
-            let (wal, _) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+            let (wal, _) = WalWriter::open(&path).unwrap();
             let mut w = AsyncWalWriter::spawn(wal);
             for n in 0..20 {
                 w.append(&rec(n)).unwrap();
             }
         }
-        let (wal, contents) = WalWriter::open(&path, FsyncPolicy::Group, 32).unwrap();
+        let (wal, contents) = WalWriter::open(&path).unwrap();
         assert_eq!(contents.records.len(), 20);
         let w = AsyncWalWriter::spawn(wal);
         assert_eq!(w.next_seq(), 20);
@@ -650,7 +727,7 @@ mod tests {
     #[test]
     fn concurrent_waiters_all_release() {
         let dir = temp_dir("waiters");
-        let (wal, _) = WalWriter::open(&dir.join("wal.log"), FsyncPolicy::Group, 32).unwrap();
+        let (wal, _) = WalWriter::open(&dir.join("wal.log")).unwrap();
         let mut w = AsyncWalWriter::spawn(wal);
         let gate = w.gate();
         let mut seqs = Vec::new();

@@ -28,9 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use terp_persist::{
-    enumerate_crash_points, inject, read_log, recover, FsyncPolicy, WalRecord, WalWriter,
-};
+use terp_persist::{enumerate_crash_points, inject, read_log, recover, WalRecord, WalWriter};
 use terp_pmo::{txn, ObjectId, OpenMode, Permission, PmoId, PmoRegistry, Transaction, PAGE_SIZE};
 
 const POOL_SIZE: u64 = 1 << 18;
@@ -66,7 +64,7 @@ impl Builder {
     fn new() -> Self {
         Builder {
             reg: PmoRegistry::new(),
-            wal: WalWriter::in_memory(FsyncPolicy::Always, 1),
+            wal: WalWriter::in_memory(),
             records: Vec::new(),
         }
     }
@@ -277,7 +275,7 @@ fn every_crash_point_recovers_to_a_sealed_consistent_state() {
             point.describe()
         );
         let (state, report) =
-            recover(&[], &damaged).unwrap_or_else(|e| panic!("{}: {e}", point.describe()));
+            recover(&damaged).unwrap_or_else(|e| panic!("{}: {e}", point.describe()));
 
         // Model: scan the surviving prefix for protection state.
         let mut open: BTreeSet<PmoId> = BTreeSet::new();

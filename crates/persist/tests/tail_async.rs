@@ -6,9 +6,7 @@
 //! survive an incremental checkpoint truncating the log out from under it
 //! with a clean `Truncated` + restart-from-zero, not corruption.
 
-use terp_persist::{
-    DurableStore, FsyncPolicy, TailReader, TailStatus, WalMode, WalRecord, WAL_FILE,
-};
+use terp_persist::{DurableStore, TailReader, TailStatus, WalRecord, WAL_FILE};
 use terp_pmo::{OpenMode, PmoId, PmoRegistry};
 
 fn rec(n: u64) -> WalRecord {
@@ -28,8 +26,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn tail_reader_over_live_async_writer_sees_no_errors_and_survives_truncation() {
     let dir = temp_dir("race");
-    let (mut store, _, _) =
-        DurableStore::open_with_mode(&dir, FsyncPolicy::Group, 8, WalMode::Async).unwrap();
+    let (mut store, _, _) = DurableStore::open(&dir).unwrap();
     let wal = dir.join(WAL_FILE);
     let total: u64 = 400;
 

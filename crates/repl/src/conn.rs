@@ -42,6 +42,12 @@ impl Conn {
         Conn::new(self.stream.try_clone().map_err(disconnected)?)
     }
 
+    /// Shuts the socket down in both directions: every handle on it (see
+    /// [`Conn::split`]) sees the connection end.
+    pub(crate) fn close(&self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+
     pub(crate) fn send(&mut self, msg: &ReplMsg) -> Result<(), ServiceError> {
         self.stream
             .write_all(&encode_frame(&msg.encode()))

@@ -3,13 +3,21 @@
 //! A follower keeps two representations of the leader's state and the
 //! failover guarantees come from which one promotion uses:
 //!
-//! * **The mirror** — on-disk snapshot files plus a WAL per shard whose
-//!   bytes are appended *verbatim* as shipped. The mirror's durable prefix
-//!   is byte-identical to the leader's by construction: there is no
-//!   re-encoding step to disagree with it.
+//! * **The mirror** — per shard, the leader's checkpoint files (`ckpt.log`,
+//!   `prot.log`) written verbatim at bootstrap, plus a WAL whose bytes are
+//!   appended *verbatim* as shipped. Each leader checkpoint is followed in
+//!   the store's own order: `ckpt.log` extended by the bytes it grew (or
+//!   replaced after a compaction), `prot.log` replaced, the WAL restarted.
+//!   The mirror's durable prefix is byte-identical to the leader's by
+//!   construction: there is no re-encoding step to disagree with it. A
+//!   re-bootstrap (after a reconnect) builds its image in
+//!   `shard-<i>.staging/` and moves it over the mirror only once it has
+//!   caught up with it, so promotion never finds a half-built mirror.
 //! * **The warm registry** — an in-memory [`PmoRegistry`] per shard,
-//!   advanced by replaying each record as it arrives (the same replay
-//!   rules as [`terp_persist::recover`], including snapshot watermark
+//!   advanced by replaying the checkpoint files (and each checkpoint's
+//!   growth) and then each WAL record as it arrives (the same replay rules
+//!   as
+//!   [`terp_persist::recover_segments`], including checkpoint watermark
 //!   skipping and `Alloc` divergence checking). This is what makes the
 //!   standby *warm*: the applied watermark and lag are always current, and
 //!   reads can be served without touching disk.
@@ -34,13 +42,13 @@ use std::time::Duration;
 
 use terp_net::repl::ReplMsg;
 use terp_net::{Backoff, ServiceError, VERSION};
-use terp_persist::store::WAL_FILE;
-use terp_persist::{read_log, WalRecord};
+use terp_persist::{read_log, WalRecord, CKPT_FILE, PROT_FILE, WAL_FILE};
 use terp_pmo::{ObjectId, PmoId, PmoRegistry};
-use terp_service::{DurableConfig, PmoServer, ServiceConfig};
+use terp_service::{PmoServer, ServiceConfig};
 use terp_trace::{EventKind, TraceRecorder};
 
 use crate::conn::{disconnected, Conn};
+use crate::leader::CHECKPOINT_FILES;
 
 /// Configuration for a [`ReplFollower`].
 #[derive(Debug, Clone)]
@@ -83,8 +91,10 @@ pub struct ReplLag {
     pub leader_seq: u64,
     /// Highest sequence number replayed into the warm registry.
     pub applied_seq: u64,
-    /// Whether the shard's snapshot bootstrap has completed.
+    /// Whether the shard's checkpoint bootstrap has completed.
     pub bootstrapped: bool,
+    /// Leader checkpoints the shard has followed since its bootstrap.
+    pub checkpoints: u64,
 }
 
 impl ReplLag {
@@ -99,9 +109,13 @@ impl ReplLag {
 #[derive(Debug)]
 struct ShardMirror {
     registry: PmoRegistry,
-    /// Per-pool snapshot watermark: records at or below it are already
-    /// reflected by the installed snapshot and must not re-apply.
+    /// Per-pool checkpoint watermark (raised by `AllocTable`): records at
+    /// or below it are already reflected and must not re-apply.
     watermark: Vec<Option<u64>>,
+    /// The checkpoint being received; installed at `SnapshotDone`.
+    incoming: Incoming,
+    /// Length of the shard's `ckpt.log`: where appended bytes go.
+    ckpt_len: u64,
     /// Shipped bytes not yet forming a complete frame (batches may split
     /// mid-record).
     pending: Vec<u8>,
@@ -109,6 +123,22 @@ struct ShardMirror {
     leader_seq: u64,
     open_windows: BTreeSet<PmoId>,
     bootstrapped: bool,
+    checkpoints: u64,
+    /// Whether the shard's files go to its staging directory: a bootstrap
+    /// builds there and replaces the mirror once it has caught up.
+    staging: bool,
+    /// The seq a complete mirror in the shard's directory has applied up
+    /// to (`None`: no complete mirror yet).
+    mirrored: Option<u64>,
+}
+
+/// A checkpoint under assembly: a whole `ckpt.log` (bootstrap or
+/// compaction) or the bytes it grew by, and the new `prot.log`.
+#[derive(Debug, Default)]
+struct Incoming {
+    ckpt: Option<Vec<u8>>,
+    appended: Vec<u8>,
+    prot: Option<Vec<u8>>,
 }
 
 impl ShardMirror {
@@ -116,20 +146,42 @@ impl ShardMirror {
         ShardMirror {
             registry: PmoRegistry::new(),
             watermark: Vec::new(),
+            incoming: Incoming::default(),
+            ckpt_len: 0,
             pending: Vec::new(),
             applied_seq: 0,
             leader_seq: 0,
             open_windows: BTreeSet::new(),
             bootstrapped: false,
+            checkpoints: 0,
+            staging: true,
+            mirrored: None,
         }
     }
 
-    /// Resets for a re-bootstrap (reconnect); the leader's heartbeat marks
-    /// survive so lag stays truthful while the snapshot streams.
+    /// Resets for a re-bootstrap (reconnect). The leader's heartbeat marks
+    /// survive so lag stays truthful while the checkpoint streams, and so
+    /// does the mirror: the new image builds in staging until it has
+    /// caught up with it.
     fn reset(&mut self) {
+        let mirrored = if self.staging {
+            self.mirrored
+        } else {
+            Some(self.applied_seq)
+        };
         let leader_seq = self.leader_seq;
         *self = ShardMirror::new();
         self.leader_seq = leader_seq;
+        self.mirrored = mirrored;
+    }
+
+    /// Replays checkpoint-file bytes into the warm registry.
+    fn replay(&mut self, image: &[u8]) -> Result<(), ServiceError> {
+        for (seq, record) in &read_log(image).records {
+            apply_record(self, *seq, record)?;
+            self.applied_seq = self.applied_seq.max(*seq);
+        }
+        Ok(())
     }
 }
 
@@ -190,6 +242,7 @@ impl ReplFollower {
                 leader_seq: m.leader_seq,
                 applied_seq: m.applied_seq,
                 bootstrapped: m.bootstrapped,
+                checkpoints: m.checkpoints,
             })
             .collect()
     }
@@ -235,8 +288,8 @@ impl ReplFollower {
     /// Promotes the standby to a serving leader.
     ///
     /// The replication stream is stopped, then the *mirror* (not the warm
-    /// registry) is opened through the ordinary durable recovery path:
-    /// snapshots install, the log replays, in-flight transactions roll
+    /// registry) is opened through the ordinary durable recovery path: the
+    /// checkpoint files and the log replay, in-flight transactions roll
     /// back, and — the TERP invariant — every exposure window the dead
     /// leader had open is force-closed and its pool resealed
     /// ([`terp_pmo::Pmo::reseal`]) so the next attach re-randomizes. The
@@ -245,21 +298,23 @@ impl ReplFollower {
     /// mid-promotion.
     ///
     /// `base` supplies the serving configuration (scheme, shards, sweeper,
-    /// fsync policy…); its durable directory is overridden with the mirror.
+    /// visibility…); its durable directory is overridden with the mirror.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Persist`] if mirror recovery fails.
+    /// [`ServiceError::Persist`] if a shard has no complete mirror yet (its
+    /// first bootstrap never finished) or mirror recovery fails.
     pub fn promote(mut self, base: ServiceConfig) -> Result<PmoServer, ServiceError> {
         self.halt();
-        let durable = match base.durable.clone() {
-            Some(d) => DurableConfig {
-                dir: self.config.dir.clone(),
-                ..d
-            },
-            None => DurableConfig::new(self.config.dir.clone()),
-        };
-        let server = PmoServer::try_start(base.with_durable_config(durable).with_standby(true))?;
+        promotable(&self.state.mirrors.lock().expect("mirrors lock"))?;
+        for shard in 0..self.lag().len() as u32 {
+            // A bootstrap cut short leaves its staging directory behind.
+            let _ = fs::remove_dir_all(staging_dir(&self.config, shard));
+        }
+        let server = PmoServer::try_start(
+            base.with_durable(self.config.dir.clone())
+                .with_standby(true),
+        )?;
         server.promote();
         Ok(server)
     }
@@ -275,6 +330,25 @@ impl ReplFollower {
 impl Drop for ReplFollower {
     fn drop(&mut self) {
         self.halt();
+    }
+}
+
+/// Whether every shard has a complete mirror: its live image, or the one
+/// a re-bootstrap in progress will replace.
+fn promotable(mirrors: &[ShardMirror]) -> Result<(), ServiceError> {
+    if mirrors.is_empty() {
+        return Err(ServiceError::Persist(
+            "no leader was ever reached: nothing to promote".into(),
+        ));
+    }
+    match mirrors
+        .iter()
+        .position(|m| m.staging && m.mirrored.is_none())
+    {
+        Some(shard) => Err(ServiceError::Persist(format!(
+            "shard {shard} has no complete mirror to promote"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -324,9 +398,11 @@ fn run_stream(
         }
     };
 
-    // Fresh bootstrap: reset warm state and clear the mirror stores (stale
-    // snapshot files from a previous leader epoch must not survive into
-    // the new image).
+    // Fresh bootstrap: reset warm state and build each shard's new image
+    // in a clean staging directory (stale files from a previous leader
+    // epoch must not survive into it). A complete mirror stays in place
+    // until the new image has caught up with it, so promotion never sees a
+    // half-built one.
     {
         let mut mirrors = state.mirrors.lock().expect("mirrors lock");
         if mirrors.len() != shards {
@@ -337,14 +413,14 @@ fn run_stream(
             }
         }
     }
-    for shard in 0..shards {
-        let sdir = config.dir.join(format!("shard-{shard}"));
-        let _ = fs::remove_dir_all(&sdir);
-        fs::create_dir_all(&sdir).map_err(disconnected)?;
+    for shard in 0..shards as u32 {
+        let staging = staging_dir(config, shard);
+        let _ = fs::remove_dir_all(&staging);
+        fs::create_dir_all(&staging).map_err(disconnected)?;
     }
     conn.send(&ReplMsg::Subscribe)?;
 
-    // Snapshot files under assembly: (shard, name) → (next index, total,
+    // Checkpoint files under assembly: (shard, name) → (next index, total,
     // bytes so far).
     let mut partial: HashMap<(u32, String), (u32, u32, Vec<u8>)> = HashMap::new();
 
@@ -365,41 +441,66 @@ fn run_stream(
                 bytes,
             } => {
                 check_shard(shard, shards)?;
-                if file.contains('/') || file.contains('\\') || file.contains("..") {
+                let Some(slot) = CHECKPOINT_FILES.iter().position(|f| *f == file) else {
                     return Err(ServiceError::Protocol(format!(
-                        "snapshot file name escapes the store: {file:?}"
+                        "bootstrap file {file:?} is not a checkpoint file"
                     )));
-                }
+                };
                 let entry = partial
                     .entry((shard, file.clone()))
                     .or_insert((0, total, Vec::new()));
                 if index != entry.0 || total != entry.1 {
                     return Err(ServiceError::Protocol(format!(
-                        "snapshot chunk {index}/{total} out of order (expected {}/{})",
+                        "checkpoint chunk {index}/{total} out of order (expected {}/{})",
                         entry.0, entry.1
                     )));
                 }
                 entry.0 += 1;
                 entry.2.extend_from_slice(&bytes);
                 if entry.0 == entry.1 {
-                    let (_, _, image) = partial.remove(&(shard, file.clone())).expect("entry");
-                    install_snapshot(config, state, shard, &file, &image)?;
+                    let (_, _, image) = partial.remove(&(shard, file)).expect("entry");
+                    let incoming =
+                        &mut state.mirrors.lock().expect("mirrors lock")[shard as usize].incoming;
+                    if slot == 0 {
+                        incoming.ckpt = Some(image);
+                    } else {
+                        incoming.prot = Some(image);
+                    }
                 }
+            }
+            ReplMsg::CheckpointAppend {
+                shard,
+                offset,
+                bytes,
+            } => {
+                check_shard(shard, shards)?;
+                let mut mirrors = state.mirrors.lock().expect("mirrors lock");
+                let m = &mut mirrors[shard as usize];
+                let at = m.ckpt_len + m.incoming.appended.len() as u64;
+                if !m.bootstrapped || m.incoming.ckpt.is_some() || offset != at {
+                    return Err(ServiceError::Protocol(format!(
+                        "checkpoint append at {offset} does not follow this mirror's \
+                         ckpt.log ({at} bytes)"
+                    )));
+                }
+                m.incoming.appended.extend_from_slice(&bytes);
             }
             ReplMsg::SnapshotDone { shard } => {
                 check_shard(shard, shards)?;
-                // Bootstrap of this shard is complete; the log now ships
-                // from byte 0 of the leader's current WAL into an empty
-                // mirror WAL.
-                fs::write(wal_path(config, shard), []).map_err(disconnected)?;
                 let mut mirrors = state.mirrors.lock().expect("mirrors lock");
-                mirrors[shard as usize].bootstrapped = true;
+                install_checkpoint(config, shard, &mut mirrors[shard as usize])?;
             }
             ReplMsg::LogBatch { shard, bytes } => {
                 check_shard(shard, shards)?;
-                apply_batch(config, state, shard, &bytes)?;
-                let applied =
-                    state.mirrors.lock().expect("mirrors lock")[shard as usize].applied_seq;
+                let applied = {
+                    let mut mirrors = state.mirrors.lock().expect("mirrors lock");
+                    let m = &mut mirrors[shard as usize];
+                    apply_batch(config, shard, m, &bytes)?;
+                    if m.mirrored.is_none_or(|seq| m.applied_seq >= seq) {
+                        swap_in(config, shard, m)?;
+                    }
+                    m.applied_seq
+                };
                 conn.send(&ReplMsg::Ack {
                     shard,
                     applied_seq: applied,
@@ -411,6 +512,11 @@ fn run_stream(
                     let mut mirrors = state.mirrors.lock().expect("mirrors lock");
                     let m = &mut mirrors[shard as usize];
                     m.leader_seq = m.leader_seq.max(durable_seq);
+                    // Everything this leader has is applied: the staged
+                    // image is as complete as it will get.
+                    if m.applied_seq >= durable_seq {
+                        swap_in(config, shard, m)?;
+                    }
                     m.applied_seq
                 };
                 conn.send(&ReplMsg::Ack {
@@ -427,6 +533,113 @@ fn run_stream(
     }
 }
 
+/// Installs the checkpoint `m` has received for `shard`, on disk in the
+/// store's own checkpoint order — `ckpt.log` (replaced or extended), then
+/// `prot.log`, then the WAL emptied, as the leader resends its WAL from
+/// byte 0 — and in the warm registry: a whole `ckpt.log` rebuilds it, a
+/// grown one applies on top (its page images reflect every record the
+/// truncated WAL held), and `prot.log` restates the open windows.
+fn install_checkpoint(
+    config: &ReplFollowerConfig,
+    shard: u32,
+    m: &mut ShardMirror,
+) -> Result<(), ServiceError> {
+    let Incoming {
+        ckpt,
+        appended,
+        prot,
+    } = std::mem::take(&mut m.incoming);
+    let Some(prot) = prot else {
+        return Err(ServiceError::Protocol(format!(
+            "shard {shard}: checkpoint without {PROT_FILE}"
+        )));
+    };
+    let dir = write_dir(config, shard, m);
+    match &ckpt {
+        Some(whole) => replace_file(&dir.join(CKPT_FILE), whole)?,
+        None if !appended.is_empty() => {
+            let mut f = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(dir.join(CKPT_FILE))
+                .map_err(disconnected)?;
+            f.write_all(&appended).map_err(disconnected)?;
+        }
+        None => {}
+    }
+    replace_file(&dir.join(PROT_FILE), &prot)?;
+    fs::write(dir.join(WAL_FILE), []).map_err(disconnected)?;
+
+    match ckpt {
+        Some(whole) => {
+            m.registry = PmoRegistry::new();
+            m.watermark.clear();
+            m.replay(&whole)?;
+            m.ckpt_len = whole.len() as u64;
+        }
+        None => {
+            m.replay(&appended)?;
+            m.ckpt_len += appended.len() as u64;
+        }
+    }
+    m.open_windows.clear();
+    m.replay(&prot)?;
+    m.pending.clear();
+    if m.bootstrapped {
+        m.checkpoints += 1;
+    }
+    m.bootstrapped = true;
+    if m.mirrored.is_none_or(|seq| m.applied_seq >= seq) {
+        swap_in(config, shard, m)?;
+    }
+    Ok(())
+}
+
+/// Writes `bytes` to `path` through a temporary file and a rename, so a
+/// failure midway leaves the old file whole.
+fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), ServiceError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fs::write(&tmp, bytes).map_err(disconnected)?;
+    fs::rename(&tmp, path).map_err(disconnected)
+}
+
+/// Once a staged image is bootstrapped and caught up, moves it over the
+/// shard's mirror directory; the shard's files go there from then on.
+fn swap_in(
+    config: &ReplFollowerConfig,
+    shard: u32,
+    m: &mut ShardMirror,
+) -> Result<(), ServiceError> {
+    if !m.staging || !m.bootstrapped {
+        return Ok(());
+    }
+    let mirror = config.dir.join(format!("shard-{shard}"));
+    let retired = config.dir.join(format!("shard-{shard}.old"));
+    let _ = fs::remove_dir_all(&retired);
+    if mirror.exists() {
+        fs::rename(&mirror, &retired).map_err(disconnected)?;
+    }
+    fs::rename(staging_dir(config, shard), &mirror).map_err(disconnected)?;
+    let _ = fs::remove_dir_all(&retired);
+    m.staging = false;
+    m.mirrored = None;
+    Ok(())
+}
+
+fn staging_dir(config: &ReplFollowerConfig, shard: u32) -> PathBuf {
+    config.dir.join(format!("shard-{shard}.staging"))
+}
+
+/// Where the shard's files are written now: staging or the mirror.
+fn write_dir(config: &ReplFollowerConfig, shard: u32, m: &ShardMirror) -> PathBuf {
+    if m.staging {
+        staging_dir(config, shard)
+    } else {
+        config.dir.join(format!("shard-{shard}"))
+    }
+}
+
 fn check_shard(shard: u32, shards: usize) -> Result<(), ServiceError> {
     if (shard as usize) < shards {
         Ok(())
@@ -437,50 +650,23 @@ fn check_shard(shard: u32, shards: usize) -> Result<(), ServiceError> {
     }
 }
 
-fn wal_path(config: &ReplFollowerConfig, shard: u32) -> PathBuf {
-    config.dir.join(format!("shard-{shard}")).join(WAL_FILE)
-}
-
-/// Verifies a fully assembled snapshot (every segment checksum), writes it
-/// into the mirror store, and installs it into the warm registry.
-fn install_snapshot(
-    config: &ReplFollowerConfig,
-    state: &FollowerState,
-    shard: u32,
-    file: &str,
-    image: &[u8],
-) -> Result<(), ServiceError> {
-    let snap = terp_persist::PoolSnapshot::decode(image)?;
-    fs::write(config.dir.join(format!("shard-{shard}")).join(file), image).map_err(disconnected)?;
-    let mut mirrors = state.mirrors.lock().expect("mirrors lock");
-    let m = &mut mirrors[shard as usize];
-    snap.install_into(&mut m.registry)?;
-    if m.watermark.len() <= snap.id.index() {
-        m.watermark.resize(snap.id.index() + 1, None);
-    }
-    m.watermark[snap.id.index()] = Some(snap.wal_seq);
-    Ok(())
-}
-
-/// Appends shipped bytes verbatim to the mirror WAL, then replays every
+/// Appends shipped bytes verbatim to the shard's WAL, then replays every
 /// complete frame into the warm registry. Bytes past the last complete
 /// frame stay pending until the next batch completes them.
 fn apply_batch(
     config: &ReplFollowerConfig,
-    state: &FollowerState,
     shard: u32,
+    m: &mut ShardMirror,
     bytes: &[u8],
 ) -> Result<(), ServiceError> {
     let mut wal = fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(wal_path(config, shard))
+        .open(write_dir(config, shard, m).join(WAL_FILE))
         .map_err(disconnected)?;
     wal.write_all(bytes).map_err(disconnected)?;
     drop(wal);
 
-    let mut mirrors = state.mirrors.lock().expect("mirrors lock");
-    let m = &mut mirrors[shard as usize];
     m.pending.extend_from_slice(bytes);
     let decoded = read_log(&m.pending);
     for (seq, record) in &decoded.records {
@@ -495,9 +681,10 @@ fn apply_batch(
 }
 
 /// Replays one record into the warm registry — the same rules as
-/// [`terp_persist::recover`]: snapshot watermarks suppress double-apply of
-/// data records, `Alloc` replay verifies the allocator reproduces the
-/// logged offset, protection records maintain the open-window set.
+/// [`terp_persist::recover_segments`]: checkpoint watermarks suppress
+/// double-apply of data records, `Alloc` replay verifies the allocator
+/// reproduces the logged offset, protection records maintain the
+/// open-window set.
 fn apply_record(m: &mut ShardMirror, seq: u64, record: &WalRecord) -> Result<(), ServiceError> {
     let below_watermark = record
         .pmo()
@@ -543,10 +730,6 @@ fn apply_record(m: &mut ShardMirror, seq: u64, record: &WalRecord) -> Result<(),
         WalRecord::WindowClose { pmo } => {
             m.open_windows.remove(pmo);
         }
-        // Incremental-checkpoint deltas only appear in the leader's
-        // `ckpt.log`, never in the shipped WAL stream — but apply them
-        // anyway (same replay rules as recovery) so a mirror stays correct
-        // if a future shipping path forwards checkpoint segments.
         WalRecord::PageDelta { pmo, page, data } => {
             if !below_watermark {
                 m.registry
@@ -567,9 +750,9 @@ fn apply_record(m: &mut ShardMirror, seq: u64, record: &WalRecord) -> Result<(),
         // Sessions and randomizations carry no standby-visible state beyond
         // what the open-window set already tracks; checkpoints are
         // watermarks, not mutations. Root-directory entries live in the
-        // shipped WAL itself, and promotion re-runs full durable recovery,
-        // which rebuilds the root map from those records — the warm mirror
-        // has no reader for them in the meantime.
+        // shipped prot.log and WAL, and promotion re-runs full durable
+        // recovery, which rebuilds the root map from those records — the
+        // warm mirror has no reader for them in the meantime.
         WalRecord::SessionOpen { .. }
         | WalRecord::SessionClose { .. }
         | WalRecord::Randomize { .. }
@@ -577,4 +760,302 @@ fn apply_record(m: &mut ShardMirror, seq: u64, record: &WalRecord) -> Result<(),
         | WalRecord::RootSet { .. } => {}
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+    use terp_pmo::OpenMode;
+
+    /// A bootstrap may ship only the checkpoint files; any other name is a
+    /// protocol error and nothing is written.
+    #[test]
+    fn bootstrap_rejects_files_other_than_the_checkpoint_files() {
+        let dir = std::env::temp_dir().join(format!("terp-follow-name-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let leader = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = Conn::new(stream).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            assert!(matches!(
+                conn.recv_deadline(deadline).unwrap(),
+                ReplMsg::Hello { .. }
+            ));
+            conn.send(&ReplMsg::Welcome {
+                version: VERSION,
+                shards: 1,
+            })
+            .unwrap();
+            assert!(matches!(
+                conn.recv_deadline(deadline).unwrap(),
+                ReplMsg::Subscribe
+            ));
+            conn.send(&ReplMsg::SnapshotChunk {
+                shard: 0,
+                file: "pool-1.snap".into(),
+                index: 0,
+                total: 1,
+                bytes: b"image".to_vec(),
+            })
+            .unwrap();
+            conn
+        });
+        let state = FollowerState {
+            mirrors: Mutex::new(Vec::new()),
+            connected: AtomicBool::new(true),
+            shutdown: AtomicBool::new(false),
+        };
+        let stream = TcpStream::connect(addr).unwrap();
+        let err = run_stream(stream, &ReplFollowerConfig::new(addr, &dir, 1), &state).unwrap_err();
+        assert!(matches!(err, ServiceError::Protocol(_)), "{err}");
+        assert!(!dir.join("shard-0").join("pool-1.snap").exists());
+        drop(leader.join().unwrap());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One scripted leader connection: handshake (one shard), then
+    /// `script`. Ends after an `Ack` of `ack` arrives, or at once if none.
+    fn fake_leader(listener: &TcpListener, script: Vec<ReplMsg>, ack: Option<u64>) {
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::new(stream).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        conn.recv_deadline(deadline).unwrap(); // Hello
+        conn.send(&ReplMsg::Welcome {
+            version: VERSION,
+            shards: 1,
+        })
+        .unwrap();
+        conn.recv_deadline(deadline).unwrap(); // Subscribe
+        for msg in &script {
+            conn.send(msg).unwrap();
+        }
+        while let Some(want) = ack {
+            match conn.recv_deadline(deadline).unwrap() {
+                ReplMsg::Ack { applied_seq, .. } if applied_seq >= want => break,
+                _ => {}
+            }
+        }
+    }
+
+    fn chunk(file: &str, bytes: &[u8]) -> ReplMsg {
+        ReplMsg::SnapshotChunk {
+            shard: 0,
+            file: file.into(),
+            index: 0,
+            total: 1,
+            bytes: bytes.to_vec(),
+        }
+    }
+
+    /// A checkpoint of pool 1 at `watermark` (ckpt.log, prot.log) and WAL
+    /// writes of `tag` after it, up to seq `last`.
+    fn image(watermark: u64, last: u64, tag: u8) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let pmo = PmoId::new(1).unwrap();
+        let mut ckpt = WalRecord::PoolCreate {
+            id: pmo,
+            name: "p".into(),
+            size: 1 << 16,
+            mode: OpenMode::ReadWrite,
+        }
+        .encode(watermark);
+        WalRecord::AllocTable { pmo, live: vec![] }.encode_into(watermark, &mut ckpt);
+        let prot = WalRecord::Checkpoint.encode(watermark);
+        let mut wal = Vec::new();
+        for seq in watermark + 1..=last {
+            WalRecord::DataWrite {
+                pmo,
+                offset: seq,
+                data: vec![tag],
+            }
+            .encode_into(seq, &mut wal);
+        }
+        (ckpt, prot, wal)
+    }
+
+    fn full_bootstrap(image: &(Vec<u8>, Vec<u8>, Vec<u8>), last: u64) -> Vec<ReplMsg> {
+        vec![
+            chunk(CKPT_FILE, &image.0),
+            chunk(PROT_FILE, &image.1),
+            ReplMsg::SnapshotDone { shard: 0 },
+            ReplMsg::LogBatch {
+                shard: 0,
+                bytes: image.2.clone(),
+            },
+            ReplMsg::Heartbeat {
+                shard: 0,
+                durable_seq: last,
+            },
+        ]
+    }
+
+    fn files(dir: &Path) -> Vec<Vec<u8>> {
+        [CKPT_FILE, PROT_FILE, WAL_FILE]
+            .iter()
+            .map(|f| fs::read(dir.join("shard-0").join(f)).unwrap_or_default())
+            .collect()
+    }
+
+    /// A re-bootstrap builds beside the mirror: one cut short leaves the
+    /// previous complete mirror untouched (and promotable), and a finished
+    /// one replaces it. A first bootstrap cut short leaves nothing to
+    /// promote.
+    #[test]
+    fn rebootstrap_replaces_the_mirror_only_once_caught_up() {
+        let dir = std::env::temp_dir().join(format!("terp-follow-stage-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = ReplFollowerConfig::new(addr, &dir, 1);
+        let state = FollowerState {
+            mirrors: Mutex::new(Vec::new()),
+            connected: AtomicBool::new(true),
+            shutdown: AtomicBool::new(false),
+        };
+        let connect = |script: Vec<ReplMsg>, ack: Option<u64>| {
+            std::thread::scope(|scope| {
+                scope.spawn(|| fake_leader(&listener, script, ack));
+                let stream = TcpStream::connect(addr).unwrap();
+                assert!(
+                    run_stream(stream, &config, &state).is_err(),
+                    "the leader left"
+                );
+            });
+        };
+        let old = image(10, 15, b'o');
+        let new = image(20, 24, b'n');
+
+        connect(vec![chunk(CKPT_FILE, &old.0)], None);
+        assert!(promotable(&state.mirrors.lock().unwrap()).is_err());
+
+        connect(full_bootstrap(&old, 15), Some(15));
+        assert_eq!(
+            files(&dir),
+            vec![old.0.clone(), old.1.clone(), old.2.clone()]
+        );
+
+        connect(
+            vec![chunk(CKPT_FILE, &new.0), chunk(PROT_FILE, &new.1)],
+            None,
+        );
+        assert_eq!(
+            files(&dir),
+            vec![old.0.clone(), old.1.clone(), old.2.clone()],
+            "the cut-short bootstrap left the mirror alone"
+        );
+        assert!(promotable(&state.mirrors.lock().unwrap()).is_ok());
+
+        connect(full_bootstrap(&new, 24), Some(24));
+        assert_eq!(files(&dir), vec![new.0, new.1, new.2]);
+        assert!(!staging_dir(&config, 0).exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A leader checkpoint reaches a streaming follower as the bytes
+    /// `ckpt.log` grew by plus the new `prot.log`; the mirror's files
+    /// follow it and the warm registry keeps applying, with no
+    /// re-bootstrap. An append that does not follow the mirror's
+    /// `ckpt.log` is a protocol error.
+    #[test]
+    fn checkpoint_growth_extends_the_mirror_in_stream() {
+        let dir = std::env::temp_dir().join(format!("terp-follow-grow-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = ReplFollowerConfig::new(addr, &dir, 1);
+        let state = FollowerState {
+            mirrors: Mutex::new(Vec::new()),
+            connected: AtomicBool::new(true),
+            shutdown: AtomicBool::new(false),
+        };
+        let (ckpt, prot, wal) = image(10, 15, b'a');
+        // The checkpoint at 16 re-images the page the WAL wrote.
+        let pmo = PmoId::new(1).unwrap();
+        let mut grown = WalRecord::PoolCreate {
+            id: pmo,
+            name: "p".into(),
+            size: 1 << 16,
+            mode: OpenMode::ReadWrite,
+        }
+        .encode(16);
+        let mut page = vec![0u8; terp_pmo::PAGE_SIZE as usize];
+        page[11..=15].fill(b'a');
+        WalRecord::PageDelta {
+            pmo,
+            page: 0,
+            data: page,
+        }
+        .encode_into(16, &mut grown);
+        WalRecord::AllocTable { pmo, live: vec![] }.encode_into(16, &mut grown);
+        let prot2 = WalRecord::WindowOpen { pmo }.encode(16);
+        let prot2 = [WalRecord::Checkpoint.encode(16), prot2].concat();
+        let after = WalRecord::DataWrite {
+            pmo,
+            offset: 100,
+            data: b"z".to_vec(),
+        }
+        .encode(17);
+        let mut script = full_bootstrap(&(ckpt.clone(), prot, wal), 15);
+        script.extend([
+            ReplMsg::CheckpointAppend {
+                shard: 0,
+                offset: ckpt.len() as u64,
+                bytes: grown.clone(),
+            },
+            chunk(PROT_FILE, &prot2),
+            ReplMsg::SnapshotDone { shard: 0 },
+            ReplMsg::LogBatch {
+                shard: 0,
+                bytes: after.clone(),
+            },
+            ReplMsg::Heartbeat {
+                shard: 0,
+                durable_seq: 17,
+            },
+        ]);
+        std::thread::scope(|scope| {
+            scope.spawn(|| fake_leader(&listener, script, Some(17)));
+            let stream = TcpStream::connect(addr).unwrap();
+            assert!(run_stream(stream, &config, &state).is_err());
+        });
+        assert_eq!(
+            files(&dir),
+            vec![[ckpt.clone(), grown].concat(), prot2, after]
+        );
+        {
+            let mirrors = state.mirrors.lock().unwrap();
+            let m = &mirrors[0];
+            assert_eq!((m.checkpoints, m.applied_seq), (1, 17));
+            assert_eq!(m.open_windows.len(), 1, "prot.log restated the windows");
+            let mut buf = [0u8; 2];
+            m.registry
+                .pool(pmo)
+                .unwrap()
+                .read_bytes(14, &mut buf)
+                .unwrap();
+            assert_eq!(&buf, b"aa");
+        }
+
+        // An append at the wrong offset.
+        let script = vec![
+            chunk(CKPT_FILE, &ckpt),
+            chunk(PROT_FILE, &WalRecord::Checkpoint.encode(10)),
+            ReplMsg::SnapshotDone { shard: 0 },
+            ReplMsg::CheckpointAppend {
+                shard: 0,
+                offset: 1,
+                bytes: vec![0],
+            },
+        ];
+        std::thread::scope(|scope| {
+            scope.spawn(|| fake_leader(&listener, script, None));
+            let stream = TcpStream::connect(addr).unwrap();
+            let err = run_stream(stream, &config, &state).unwrap_err();
+            assert!(matches!(err, ServiceError::Protocol(_)), "{err}");
+        });
+        fs::remove_dir_all(&dir).ok();
+    }
 }

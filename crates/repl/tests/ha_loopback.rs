@@ -5,11 +5,11 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use terp_core::config::Scheme;
+use terp_persist::read_log;
 use terp_persist::store::WAL_FILE;
-use terp_persist::{read_log, FsyncPolicy};
 use terp_pmo::{OpenMode, Permission};
 use terp_repl::{ReplFollower, ReplFollowerConfig, ReplLeader, ReplLeaderConfig};
-use terp_service::{DurableConfig, PmoServer, ServiceConfig};
+use terp_service::{PmoServer, ServiceConfig, Visibility};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("terp-ha-{tag}-{}", std::process::id()));
@@ -21,11 +21,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn durable_config(dir: &Path, shards: usize) -> ServiceConfig {
     ServiceConfig::for_tests(Scheme::terp_full())
         .with_shards(shards)
-        .with_durable_config(DurableConfig::new(dir).with_fsync(FsyncPolicy::Always))
+        .with_durable(dir)
+        .with_visibility(Visibility::Durable)
 }
 
 /// Last durable WAL seq of each shard, read straight from the leader's
-/// files (fsync=Always makes this exact).
+/// files (`visibility = durable` makes this exact: every acked op's record
+/// is on disk).
 fn durable_seqs(dir: &Path, shards: usize) -> Vec<Option<u64>> {
     (0..shards)
         .map(|i| {

@@ -11,18 +11,20 @@
 use std::path::PathBuf;
 
 use terp_core::config::Scheme;
-use terp_persist::{FsyncPolicy, WalMode};
 use terp_sim::SimParams;
 use terp_trace::TraceConfig;
 
 /// When a durable-mode operation's effects become externally visible —
 /// i.e. when the mutating call returns to its caller (and therefore when a
-/// net response or repl ack may be sent).
+/// net response or repl ack may be sent). This is the only durability
+/// setting: every shard logs through the pipelined writer, which fsyncs
+/// each batch, and checkpoints every
+/// [`terp_persist::CHECKPOINT_EVERY`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Visibility {
-    /// Return at *submit*: the mutation is journaled (and will become
-    /// durable per the WAL mode / fsync policy) but the call does not wait
-    /// for the fsync. Highest throughput; a crash can lose the tail of
+    /// Return at *submit*: the mutation is journaled (and becomes durable
+    /// with the writer's next batch) but the call does not wait for the
+    /// fsync. Highest throughput; a crash can lose the tail of
     /// acknowledged-but-unfsynced operations. Recovery still reseals every
     /// crash-open window — the TERP invariant never depends on this knob.
     #[default]
@@ -94,71 +96,6 @@ impl Default for CostModel {
     }
 }
 
-/// Durable-mode settings: where the per-shard stores live and how eagerly
-/// the write-ahead log reaches media.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableConfig {
-    /// Root directory; each shard gets `dir/shard-<i>` with its own WAL and
-    /// snapshots. The directory is bound to the shard count it was first
-    /// written with — reopening it under a different `effective_shards()`
-    /// is refused at startup.
-    pub dir: PathBuf,
-    /// Fsync policy for every shard's log.
-    pub fsync: FsyncPolicy,
-    /// Group-commit batch size (records per fsync under
-    /// [`FsyncPolicy::Group`]).
-    pub group: usize,
-    /// How the WAL is driven: [`WalMode::Sync`] writes inline on the
-    /// caller's thread; [`WalMode::Async`] pipelines appends through a
-    /// per-shard background writer and publishes a durability watermark
-    /// (the fsync policy is then moot — every drained batch fsyncs).
-    pub wal_mode: WalMode,
-    /// Incremental-checkpoint trigger: after this many WAL records a shard
-    /// takes a log-structured incremental checkpoint (dirty pages + alloc
-    /// table to `ckpt.log`, protection state to `prot.log`, WAL truncated),
-    /// bounding recovery replay without a quiescent point. `0` disables
-    /// automatic checkpoints (the drain-time full checkpoint remains).
-    pub ckpt_interval: u64,
-}
-
-impl DurableConfig {
-    /// Durable mode rooted at `dir` with group commit (batch 32), the
-    /// synchronous inline writer, and automatic checkpoints disabled.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurableConfig {
-            dir: dir.into(),
-            fsync: FsyncPolicy::Group,
-            group: 32,
-            wal_mode: WalMode::Sync,
-            ckpt_interval: 0,
-        }
-    }
-
-    /// Sets the fsync policy.
-    pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
-        self.fsync = fsync;
-        self
-    }
-
-    /// Sets the group-commit batch size.
-    pub fn with_group(mut self, group: usize) -> Self {
-        self.group = group.max(1);
-        self
-    }
-
-    /// Sets the WAL write mode (sync inline vs async pipelined).
-    pub fn with_wal_mode(mut self, mode: WalMode) -> Self {
-        self.wal_mode = mode;
-        self
-    }
-
-    /// Sets the incremental-checkpoint interval in records (0 disables).
-    pub fn with_ckpt_interval(mut self, records: u64) -> Self {
-        self.ckpt_interval = records;
-        self
-    }
-}
-
 /// Configuration for a [`crate::PmoService`] / [`crate::PmoServer`] instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -185,11 +122,15 @@ pub struct ServiceConfig {
     /// through the shard mutex — the PR-2 locked baseline, kept for
     /// apples-to-apples benchmarking (`terp-hotpath`).
     pub fastpath: bool,
-    /// Durable mode: when set, every shard journals its mutations to a
-    /// file-backed [`terp_persist::DurableStore`], recovers from it at
-    /// startup, and checkpoints at drain. `None` keeps the service purely
-    /// in-memory.
-    pub durable: Option<DurableConfig>,
+    /// Durable mode: when set, the root directory of the per-shard stores.
+    /// Each shard journals its mutations to a file-backed
+    /// [`terp_persist::DurableStore`] in `dir/shard-<i>`, recovers from it
+    /// at startup, and checkpoints every
+    /// [`terp_persist::CHECKPOINT_EVERY`] records and at drain. The
+    /// directory is bound to the shard count it was first written with —
+    /// reopening it under a different `effective_shards()` is refused at
+    /// startup. `None` keeps the service purely in-memory.
+    pub durable: Option<PathBuf>,
     /// Flight recorder: when set, every service operation appends trace
     /// events to per-thread lock-free rings (DESIGN.md §12) which can be
     /// dumped and replayed by the offline happens-before checker. `None`
@@ -275,17 +216,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables durable mode rooted at `dir` with default policy (group
-    /// commit, batch 32). Use [`Self::with_durable_config`] for full
-    /// control.
+    /// Enables durable mode rooted at `dir` (see [`ServiceConfig::durable`]).
     pub fn with_durable(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.durable = Some(DurableConfig::new(dir));
-        self
-    }
-
-    /// Enables durable mode with an explicit [`DurableConfig`].
-    pub fn with_durable_config(mut self, durable: DurableConfig) -> Self {
-        self.durable = Some(durable);
+        self.durable = Some(dir.into());
         self
     }
 

@@ -60,7 +60,7 @@ pub mod sweeper;
 pub type ClientId = usize;
 
 pub use clock::ServiceClock;
-pub use config::{CostModel, DurableConfig, ServiceConfig, Visibility};
+pub use config::{CostModel, ServiceConfig, Visibility};
 pub use error::ServiceError;
 pub use metrics::{LatencyHistogram, OpCounters, RecoveryStats, ServiceReport};
 pub use server::PmoServer;

@@ -311,13 +311,14 @@ pub(crate) fn merge_cond_stats(a: &mut CondStats, b: CondStats) {
 /// (`ServiceReport::recovery == None`) for an in-memory service.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Pools rebuilt from snapshots and/or log replay.
+    /// Pools rebuilt from the checkpoint log and/or WAL replay.
     pub pools_recovered: u64,
-    /// Snapshots installed before replay.
-    pub snapshots_installed: u64,
-    /// Log records replayed.
+    /// Checkpoint records (`ckpt.log` + `prot.log`) replayed before the
+    /// WAL.
+    pub checkpoint_records: u64,
+    /// WAL records replayed.
     pub records_replayed: u64,
-    /// Stale records skipped below a snapshot watermark.
+    /// Stale records skipped below a checkpoint watermark.
     pub records_skipped: u64,
     /// Bytes discarded from torn log tails.
     pub bytes_dropped: u64,
@@ -337,7 +338,7 @@ impl RecoveryStats {
     /// Folds one shard store's recovery report into the aggregate.
     pub(crate) fn absorb(&mut self, r: &terp_persist::RecoveryReport) {
         self.pools_recovered += r.pools_recovered as u64;
-        self.snapshots_installed += r.snapshots_installed as u64;
+        self.checkpoint_records += r.checkpoint_records as u64;
         self.records_replayed += r.records_replayed as u64;
         self.records_skipped += r.records_skipped as u64;
         self.bytes_dropped += r.bytes_dropped as u64;
@@ -385,6 +386,9 @@ pub struct ServiceReport {
     pub tew: WindowStats,
     /// Durable-mode startup recovery statistics (`None` when in-memory).
     pub recovery: Option<RecoveryStats>,
+    /// Durable-mode checkpoints taken since startup, summed over shards
+    /// (0 for an in-memory service).
+    pub checkpoints: u64,
 }
 
 impl std::fmt::Display for ServiceReport {
@@ -429,10 +433,10 @@ impl std::fmt::Display for ServiceReport {
         if let Some(rec) = &self.recovery {
             write!(
                 f,
-                "\n  recovery: {} pools ({} snapshots, {} records), \
+                "\n  recovery: {} pools ({} checkpoint + {} wal records), \
                  {} windows resealed, {} sessions discarded, {:.2} ms",
                 rec.pools_recovered,
-                rec.snapshots_installed,
+                rec.checkpoint_records,
                 rec.records_replayed,
                 rec.windows_resealed,
                 rec.sessions_discarded,

@@ -159,6 +159,8 @@ pub struct PmoService {
     sweeper_thread: Mutex<Option<std::thread::Thread>>,
     metrics: MetricsHub,
     recovery: Option<RecoveryStats>,
+    /// Pools startup recovery resealed (sorted; see [`Self::resealed`]).
+    resealed: Vec<PmoId>,
     /// Flight recorder shared with every shard (`None` = tracing off).
     tracer: Option<Arc<TraceRecorder>>,
     /// Monotonic sweeper wake tickets: each [`Self::wake_sweeper`] issues
@@ -181,7 +183,7 @@ impl PmoService {
     }
 
     /// Fallible constructor. In durable mode each shard opens (creating if
-    /// needed) its store at `durable.dir/shard-<i>`, recovers whatever the
+    /// needed) its store at `<durable>/shard-<i>`, recovers whatever the
     /// directory holds — force-closing and resealing every exposure window
     /// that was open at crash time — and adopts the recovered pools. The
     /// aggregated recovery metrics are available via
@@ -213,17 +215,14 @@ impl PmoService {
         let index = PoolIndex::new();
         let mut max_raw: u16 = 0;
         let mut recovery = None;
-        if let Some(durable) = &config.durable {
+        let mut resealed = Vec::new();
+        if let Some(root) = &config.durable {
             let mut stats = RecoveryStats::default();
             for (i, shard) in shards.iter().enumerate() {
-                let dir = durable.dir.join(format!("shard-{i}"));
-                let (store, recovered, report) = DurableStore::open_with_mode(
-                    &dir,
-                    durable.fsync,
-                    durable.group,
-                    durable.wal_mode,
-                )?;
+                let dir = root.join(format!("shard-{i}"));
+                let (store, recovered, report) = DurableStore::open(&dir)?;
                 stats.absorb(&report);
+                resealed.extend_from_slice(&recovered.resealed);
                 let mut state = shard.state.lock().unwrap_or_else(|e| e.into_inner());
                 let mut rec_reg = recovered.registry;
                 let ids: Vec<PmoId> = rec_reg.iter().map(|p| p.id()).collect();
@@ -248,7 +247,6 @@ impl PmoService {
                 }
                 state.store = Some(store);
                 state.visibility = config.visibility;
-                state.ckpt_interval = durable.ckpt_interval;
                 // Adopt the recovered root directory: structures re-find
                 // their roots through `Self::root` after a crash.
                 state.roots.extend(recovered.roots);
@@ -257,7 +255,7 @@ impl PmoService {
             // extra shard-* stores would otherwise be silently ignored (the
             // routing check above only catches the shrinking direction).
             let io = |e: std::io::Error| ServiceError::Persist(e.to_string());
-            for entry in std::fs::read_dir(&durable.dir).map_err(io)? {
+            for entry in std::fs::read_dir(root).map_err(io)? {
                 let name = entry.map_err(io)?.file_name();
                 let name = name.to_string_lossy();
                 if let Some(k) = name
@@ -268,12 +266,13 @@ impl PmoService {
                         return Err(ServiceError::Persist(format!(
                             "{}: found {name} but this service runs {n} shards; \
                              the directory was written under a different shard count",
-                            durable.dir.display()
+                            root.display()
                         )));
                     }
                 }
             }
             recovery = Some(stats);
+            resealed.sort_unstable();
         }
         Ok(PmoService {
             clock,
@@ -288,6 +287,7 @@ impl PmoService {
             sweeper_thread: Mutex::new(None),
             metrics: MetricsHub::new(),
             recovery,
+            resealed,
             tracer,
             unpark_tokens: AtomicU64::new(0),
             config,
@@ -297,6 +297,13 @@ impl PmoService {
     /// Durable-mode startup recovery statistics (`None` when in-memory).
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
         self.recovery
+    }
+
+    /// Pools whose exposure window was open when the durable directory
+    /// last went down, force-closed and resealed by startup recovery
+    /// (sorted). Empty for a fresh or drained directory and in memory.
+    pub fn resealed(&self) -> &[PmoId] {
+        &self.resealed
     }
 
     /// The service configuration.
@@ -1422,11 +1429,14 @@ impl PmoService {
                 });
             }
             state.windows.finalize(now);
-            // Durable mode: the drain is a protection-quiescent point (every
-            // window just closed), so checkpoint — snapshots bound the next
-            // startup's replay. Best-effort: on failure the WAL alone still
-            // recovers everything.
-            let _ = state.checkpoint();
+            // Durable mode: checkpoint at the drain (every window just
+            // closed, so prot.log ends empty) and wait for it — the next
+            // startup replays the checkpoint log and an empty WAL.
+            // Best-effort: on failure the WAL alone still recovers
+            // everything.
+            if let Ok(Some(done)) = state.checkpoint() {
+                let _ = done.wait();
+            }
             shard.cvar.notify_all();
         }
     }
@@ -1442,8 +1452,10 @@ impl PmoService {
         let mut randomizations = 0;
         let mut ew = Default::default();
         let mut tew = Default::default();
+        let mut checkpoints = 0;
         for shard in &self.shards {
             let state = self.lock(shard);
+            checkpoints += state.store.as_ref().map_or(0, |s| s.checkpoints());
             merge_cond_stats(&mut cond, state.engine.stats());
             let m = state.merr.stats();
             merr.attaches += m.attaches;
@@ -1470,6 +1482,7 @@ impl PmoService {
             ew,
             tew,
             recovery: self.recovery,
+            checkpoints,
         }
     }
 }

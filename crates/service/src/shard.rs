@@ -25,7 +25,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use terp_arch::{CondEngine, MerrArch};
 use terp_core::permission::{PermissionSet, Right};
 use terp_core::window::WindowTracker;
-use terp_persist::{DurableStore, DurableTicket, WalRecord};
+use terp_persist::{BarrierTicket, DurableStore, DurableTicket, WalRecord};
 use terp_pmo::{Permission, PmoError, PmoId, ProcessAddressSpace};
 use terp_sim::PermissionMatrix;
 use terp_trace::{EventKind, TraceRecorder};
@@ -68,7 +68,6 @@ impl Shard {
                 randomizations: 0,
                 store: None,
                 visibility: Visibility::Submit,
-                ckpt_interval: 0,
                 visible_seq: None,
                 idx,
                 lock_seq: 0,
@@ -114,20 +113,17 @@ pub(crate) struct ShardState {
     pub detach_syscalls: u64,
     /// In-place randomizations performed by this shard.
     pub randomizations: u64,
-    /// Durable mode: this shard's write-ahead log + snapshot directory.
+    /// Durable mode: this shard's write-ahead log + checkpoint directory.
     /// `None` keeps the shard purely in-memory.
     pub store: Option<DurableStore>,
     /// Durable-mode visibility rule (copied from the service config):
     /// whether mutating operations may return at submit or must wait for
     /// their journal records to fsync first.
     pub visibility: Visibility,
-    /// Incremental-checkpoint trigger in records (0 = disabled), copied
-    /// from [`crate::DurableConfig::ckpt_interval`].
-    pub ckpt_interval: u64,
     /// Highest sequence number journaled during the current critical
     /// section when the visibility rule is [`Visibility::Durable`] — the
-    /// durability obligation [`Self::finish_op`] turns into a ticket (or an
-    /// inline sync) before the operation acknowledges.
+    /// durability obligation [`Self::finish_op`] turns into a ticket before
+    /// the operation acknowledges.
     pub visible_seq: Option<u64>,
     /// This shard's index: the lock identity in trace events.
     pub idx: u32,
@@ -218,52 +214,41 @@ impl ShardState {
     }
 
     /// Closes out one mutating operation's durability obligations while the
-    /// shard lock is still held: runs the incremental-checkpoint trigger,
-    /// then converts any accumulated `visible_seq` into what the caller
-    /// needs before acknowledging. Async stores return a
+    /// shard lock is still held: takes a checkpoint when the store says one
+    /// is due, then converts any accumulated `visible_seq` into a
     /// [`DurableTicket`] the caller waits on *after* dropping the shard
-    /// lock; sync stores fsync inline here (a ticket could wait forever on
-    /// an unflushed group-commit batch — see [`DurableStore::ticket`]).
+    /// lock.
     pub(crate) fn finish_op(&mut self) -> Result<Option<DurableTicket>, ServiceError> {
-        if self.store.is_some() {
-            self.maybe_checkpoint()?;
+        if self.store.as_ref().is_some_and(|s| s.checkpoint_due()) {
+            self.checkpoint()?;
         }
         let Some(seq) = self.visible_seq.take() else {
             return Ok(None);
         };
-        let store = self.store.as_mut().expect("visible_seq implies store");
-        if store.is_async() {
-            Ok(Some(store.ticket(seq)))
-        } else {
-            store.sync_to(seq)?;
-            Ok(None)
-        }
+        let store = self.store.as_ref().expect("visible_seq implies store");
+        Ok(Some(store.ticket(seq)))
     }
 
-    /// Incremental-checkpoint trigger: when `ckpt_interval` is set and the
-    /// store has journaled at least that many records since the last
-    /// checkpoint, write dirty-page deltas to the checkpoint log, rewrite
-    /// the protection snapshot from live shard state, and truncate the WAL.
-    /// Runs at *operation end* — never mid-operation, where a journaled
-    /// protection record (e.g. the `WindowOpen` written before mapping)
-    /// could be truncated before the shard state it describes exists.
-    pub(crate) fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
+    /// Starts a checkpoint of this shard's durable store: dirty-page deltas
+    /// to the checkpoint log, the protection image rebuilt from live shard
+    /// state, WAL truncated — the I/O runs on the store's log writer, not
+    /// under the shard lock. Runs at *operation end* (or at drain) — never
+    /// mid-operation, where a journaled protection record (e.g. the
+    /// `WindowOpen` written before mapping) could be truncated before the
+    /// shard state it describes exists. Returns the ticket that completes
+    /// with the checkpoint; `None` for an in-memory shard.
+    pub(crate) fn checkpoint(&mut self) -> Result<Option<BarrierTicket>, ServiceError> {
         let ShardState {
             store,
             pools,
             space,
             holders,
             perms,
-            roots: _,
-            ckpt_interval,
             ..
         } = self;
         let Some(store) = store.as_mut() else {
-            return Ok(());
+            return Ok(None);
         };
-        if *ckpt_interval == 0 || store.records_since_checkpoint() < *ckpt_interval {
-            return Ok(());
-        }
         // Reconstruct the live protection state: open windows and open
         // sessions, exactly what recovery needs to reseal and re-grant.
         let mut protection: Vec<WalRecord> = Vec::new();
@@ -296,20 +281,8 @@ impl ShardState {
             }
         }
         let mut guards: Vec<_> = pools.values().map(|s| s.pool_mut()).collect();
-        store.checkpoint_incremental(guards.iter_mut().map(|g| &mut **g), &protection)?;
-        Ok(())
-    }
-
-    /// Checkpoints this shard's durable store: snapshots every pool and
-    /// truncates the WAL. Must be called at a protection-quiescent point
-    /// (no open windows) — the service drains before checkpointing.
-    pub(crate) fn checkpoint(&mut self) -> Result<(), ServiceError> {
-        let ShardState { store, pools, .. } = self;
-        if let Some(store) = store.as_mut() {
-            let mut guards: Vec<_> = pools.values().map(|s| s.pool_mut()).collect();
-            store.checkpoint(guards.iter_mut().map(|g| &mut **g))?;
-        }
-        Ok(())
+        let (_, done) = store.start_checkpoint(guards.iter_mut().map(|g| &mut **g), &protection)?;
+        Ok(Some(done))
     }
 
     /// Performs the real `attach()`: maps the pool at a random base, adds

@@ -2,9 +2,8 @@
 //! shard-count binding of a store directory.
 
 use terp_core::config::Scheme;
-use terp_persist::FsyncPolicy;
 use terp_pmo::{AccessKind, OpenMode, Permission};
-use terp_service::{DurableConfig, PmoServer, PmoService, ServiceConfig, ServiceError};
+use terp_service::{PmoServer, PmoService, ServiceConfig, ServiceError, Visibility};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("terp-svc-durable-{tag}-{}", std::process::id()));
@@ -17,7 +16,8 @@ fn crash_recovery_reseals_windows_and_keeps_data() {
     let dir = tmp_dir("crash");
     let cfg = || {
         ServiceConfig::for_tests(Scheme::terp_full())
-            .with_durable_config(DurableConfig::new(&dir).with_fsync(FsyncPolicy::Always))
+            .with_durable(&dir)
+            .with_visibility(Visibility::Durable)
     };
     let oid;
     {
@@ -83,7 +83,7 @@ fn clean_shutdown_checkpoints_and_recovers_from_snapshots() {
 
     let svc = PmoService::try_new(cfg()).unwrap();
     let rec = svc.recovery_stats().unwrap();
-    assert!(rec.snapshots_installed >= 1, "shutdown checkpointed");
+    assert!(rec.checkpoint_records >= 1, "shutdown checkpointed");
     assert_eq!(rec.records_replayed, 0, "log was truncated at checkpoint");
     assert_eq!(rec.windows_resealed, 0, "clean shutdown left nothing open");
     svc.attach(2, oid.pmo(), Permission::Read).unwrap();
@@ -94,12 +94,11 @@ fn clean_shutdown_checkpoints_and_recovers_from_snapshots() {
 #[test]
 fn directory_is_bound_to_its_shard_count() {
     let dir = tmp_dir("mismatch");
-    let durable = || DurableConfig::new(&dir).with_fsync(FsyncPolicy::Always);
     {
         let svc = PmoService::try_new(
             ServiceConfig::for_tests(Scheme::terp_full())
                 .with_shards(4)
-                .with_durable_config(durable()),
+                .with_durable(&dir),
         )
         .unwrap();
         for i in 0..4 {
@@ -111,7 +110,7 @@ fn directory_is_bound_to_its_shard_count() {
     let err = PmoService::try_new(
         ServiceConfig::for_tests(Scheme::terp_full())
             .with_shards(2)
-            .with_durable_config(durable()),
+            .with_durable(&dir),
     )
     .unwrap_err();
     assert!(matches!(err, ServiceError::Persist(_)), "{err}");
@@ -120,7 +119,7 @@ fn directory_is_bound_to_its_shard_count() {
     let err = PmoService::try_new(
         ServiceConfig::for_tests(Scheme::terp_full())
             .with_shards(8)
-            .with_durable_config(durable()),
+            .with_durable(&dir),
     )
     .unwrap_err();
     assert!(matches!(err, ServiceError::Persist(_)), "{err}");
@@ -128,7 +127,7 @@ fn directory_is_bound_to_its_shard_count() {
     let svc = PmoService::try_new(
         ServiceConfig::for_tests(Scheme::terp_full())
             .with_shards(4)
-            .with_durable_config(durable()),
+            .with_durable(&dir),
     )
     .unwrap();
     assert_eq!(svc.recovery_stats().unwrap().pools_recovered, 4);
@@ -154,7 +153,7 @@ fn in_memory_service_reports_no_recovery() {
 ///    exactly the windows open in the prefix — acks never outrun the medium.
 #[test]
 fn async_watermark_acked_effects_survive_every_crash_point() {
-    use terp_persist::{enumerate_crash_points, inject, read_log, WalMode, WalRecord, WAL_FILE};
+    use terp_persist::{enumerate_crash_points, inject, read_log, WalRecord, WAL_FILE};
     use terp_service::Visibility;
 
     let dir = tmp_dir("wm-crash");
@@ -162,12 +161,7 @@ fn async_watermark_acked_effects_survive_every_crash_point() {
     let cfg = ServiceConfig::for_tests(Scheme::terp_full())
         .with_shards(1)
         .with_visibility(Visibility::Durable)
-        .with_durable_config(
-            DurableConfig::new(&dir)
-                .with_fsync(FsyncPolicy::Group)
-                .with_group(64)
-                .with_wal_mode(WalMode::Async),
-        );
+        .with_durable(&dir);
 
     // Durable record count observed at each ack, plus (for writes) the
     // payload the cell must hold whenever that prefix survives a crash.

@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use terp_persist::{FsyncPolicy, RecoveredState, WalRecord, WalWriter};
+use terp_persist::{RecoveredState, WalRecord, WalWriter};
 use terp_pmo::{ObjectId, OpenMode, PmoId, PmoRegistry};
 use terp_service::{ClientId, PmoService};
 
@@ -153,7 +153,7 @@ impl LocalMem {
         LocalMem {
             inner: RefCell::new(LocalInner {
                 reg: PmoRegistry::new(),
-                wal: Some(WalWriter::in_memory(FsyncPolicy::Always, 1)),
+                wal: Some(WalWriter::in_memory()),
                 nrecords: 0,
                 roots: BTreeMap::new(),
             }),
@@ -354,7 +354,7 @@ mod tests {
         let pid = mem.create_pool("r", 1 << 16).unwrap();
         let oid = mem.alloc(pid, 32).unwrap();
         mem.set_root(pid, 4, Some(oid)).unwrap();
-        let (state, _) = terp_persist::recover(&[], &mem.durable_bytes()).unwrap();
+        let (state, _) = terp_persist::recover(&mem.durable_bytes()).unwrap();
 
         let post = LocalMem::from_recovered(state);
         assert_eq!(post.root(pid, 4).unwrap(), Some(oid));

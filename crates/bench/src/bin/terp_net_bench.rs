@@ -147,7 +147,7 @@ fn run_wire_point(addr: std::net::SocketAddr, tl: &Timeline) -> PointStats {
 }
 
 /// The same timeline executed directly against the in-process service: no
-/// sockets, no frames, no executor hop. The latency delta against the
+/// sockets, no frames, no thread handoffs. The latency delta against the
 /// loopback cell at the same rate is the wire cost.
 fn run_inprocess_point(service: &Arc<PmoService>, tl: &Timeline) -> PointStats {
     std::thread::scope(|scope| {

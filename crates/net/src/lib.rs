@@ -14,9 +14,11 @@
 //!   incremental decoder (same CRC codec as the WAL).
 //! * [`proto`] — versioned request/response messages and the
 //!   [`ServiceError`] wire mapping.
-//! * [`server`] — [`server::NetServer`]: accept loop, per-connection
-//!   reader/writer threads, per-shard batched executor, dedicated threads
-//!   for blocking attaches, drain-before-close shutdown.
+//! * [`server`] — [`server::NetServer`]: accept loop, one
+//!   run-to-completion thread per connection (read a chunk, execute its
+//!   requests inline, send their responses in one write), dedicated
+//!   threads for blocking attaches, drain-before-close shutdown. A client
+//!   that stops reading stalls only its own connection (TCP flow control).
 //! * [`client`] — [`client::Client`]: sync calls and pipelined
 //!   [`client::Pending`] tickets over one multiplexed connection, plus
 //!   [`client::Backoff`]-paced reconnects.

@@ -2,46 +2,45 @@
 //!
 //! ## Threading model
 //!
-//! Each accepted connection gets a **reader** thread (socket → frames →
-//! requests) and a **writer** thread (responses → frames → socket), joined
-//! by an unbounded completion channel. Requests *execute* elsewhere:
+//! Each accepted connection gets **one** thread that runs every request to
+//! completion. It reads a chunk off the socket, decodes every frame in it,
+//! executes each request inline against the service, and appends each
+//! encoded response to one per-connection output buffer. After the chunk it
+//! sends that buffer with a single `write_all` through the connection's
+//! write half, which sits behind a mutex. Nothing queues between decode
+//! and execution: data ops take the service's seqlock fast path straight
+//! from the connection thread.
 //!
-//! * **Blocking-capable attaches** (Merr / Basic semantics, where an attach
-//!   parks on a conflicting holder's exposure window) run on a dedicated
-//!   spawned thread per request. A parked attach therefore blocks only its
-//!   own request — later pipelined ops on the same connection keep flowing
-//!   and may complete first (out-of-order completion is the protocol's
-//!   contract, see [`crate::proto`]).
-//! * **Everything else** is submitted to a per-shard batched executor: one
-//!   worker per service shard, routed by the op's pool id with the same
-//!   `raw & mask` rule the service's own shard map uses. Workers drain
-//!   their whole queue into a local batch per wakeup, so pool-lock traffic
-//!   comes only from executor threads — network reader threads never touch
-//!   a shard lock, they ride the frame decoder and the submission queues.
-//!   Data ops still hit the seqlock fast path inside the service, which
-//!   never takes the shard lock at all.
+//! The one exception is an attach that can park on a conflicting holder's
+//! exposure window (Merr / Basic semantics). It runs on a dedicated
+//! spawned thread, which writes its single response under the same write
+//! mutex. A parked attach therefore blocks only its own request: later
+//! pipelined ops on the same connection keep flowing and complete first.
+//! Every other response leaves in request order, which is stricter than
+//! the protocol's out-of-order contract (see [`crate::proto`]).
 //!
 //! ## Backpressure
 //!
-//! A per-connection gate caps decoded-but-uncompleted requests at
-//! [`MAX_INFLIGHT`]. At the cap the reader stops decoding, the kernel
-//! receive buffer fills, and TCP flow control pushes back on the client —
-//! a slow or stalled client bounds its own server-side memory to one gate
-//! of requests plus one socket buffer, and never stalls other connections.
+//! A client that stops reading blocks its own connection thread in
+//! `write_all`; that thread then stops reading, the kernel receive buffer
+//! fills, and TCP flow control pushes back on the client. A stalled client
+//! thus holds at most 64 KiB of responses (plus one response) and
+//! the socket buffers on the server, and never stalls another connection. Parked attaches are capped
+//! per connection at [`MAX_INFLIGHT`]; at the cap the connection thread
+//! stops decoding until one completes.
 //!
 //! ## Tracing
 //!
-//! When the service runs with tracing enabled, the reader records
-//! `NetRecv{conn, req}` at decode and every executing thread records
-//! `NetExec{conn, req}` before touching the service. The pair is a
-//! happens-before edge for the offline checker, so cross-thread windows
-//! driven by network requests order through their dispatch points.
+//! When the service runs with tracing enabled, the connection thread
+//! records `NetRecv{conn, req}` at decode and `NetExec{conn, req}` before
+//! touching the service; a parked attach records its `NetExec` on its own
+//! thread. The pair is a happens-before edge for the offline checker, so
+//! cross-thread windows driven by network requests order through their
+//! dispatch points.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -54,17 +53,24 @@ use crate::frame::{encode_frame, FrameDecoder};
 use crate::proto::{Request, Response, MAGIC, VERSION};
 use crate::ServiceError;
 
-/// Per-connection cap on requests decoded but not yet responded to. At the
-/// cap the reader stops pulling bytes off the socket and TCP flow control
-/// takes over.
+/// Per-connection cap on parked attaches (Merr / Basic semantics attaches
+/// running on their own threads). At the cap the connection thread stops
+/// decoding until one completes, and TCP flow control takes over.
 pub const MAX_INFLIGHT: usize = 256;
 
-/// Counts in-flight requests on one connection; acquired by the reader at
-/// dispatch, released by the writer per response written.
+/// Output bytes after which the connection thread sends mid-chunk, so one
+/// chunk of large reads cannot buffer without bound.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// Counts one connection's parked attaches; the connection thread takes a
+/// [`Permit`] before spawning one, and the permit drops once that attach's
+/// response is written (or its thread panics, or never starts).
 struct Gate {
     n: Mutex<usize>,
     cv: Condvar,
 }
+
+struct Permit(Arc<Gate>);
 
 impl Gate {
     fn new() -> Self {
@@ -74,157 +80,34 @@ impl Gate {
         }
     }
 
-    fn acquire(&self) {
+    fn acquire(self: &Arc<Self>) -> Permit {
         let mut n = self.n.lock().unwrap_or_else(|e| e.into_inner());
         while *n >= MAX_INFLIGHT {
             n = self.cv.wait(n).unwrap_or_else(|e| e.into_inner());
         }
         *n += 1;
+        Permit(Arc::clone(self))
     }
 
-    fn release(&self) {
+    /// Blocks until every parked attach has written its response.
+    fn wait_idle(&self) {
         let mut n = self.n.lock().unwrap_or_else(|e| e.into_inner());
+        while *n > 0 {
+            n = self.cv.wait(n).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        let mut n = self.0.n.lock().unwrap_or_else(|e| e.into_inner());
         *n -= 1;
-        self.cv.notify_one();
-    }
-}
-
-/// One queued operation bound for a shard worker.
-struct Job {
-    conn: u32,
-    req_id: u64,
-    client: ClientId,
-    req: Request,
-    tx: Sender<(u64, Response)>,
-}
-
-struct WorkQueue {
-    state: Mutex<(VecDeque<Job>, bool)>,
-    cv: Condvar,
-}
-
-impl WorkQueue {
-    fn new() -> Self {
-        WorkQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        g.0.push_back(job);
-        self.cv.notify_one();
-    }
-
-    fn stop(&self) {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        g.1 = true;
-        self.cv.notify_all();
-    }
-
-    /// Blocks for work, then drains the *entire* queue into one batch so a
-    /// worker wakeup amortizes over every op queued behind it. Returns an
-    /// empty vec when stopped and drained.
-    fn take_batch(&self) -> Vec<Job> {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if !g.0.is_empty() {
-                return g.0.drain(..).collect();
-            }
-            if g.1 {
-                return Vec::new();
-            }
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Per-shard batched op execution: one worker per service shard, routed by
-/// pool id with the service's own sharding rule.
-struct Executor {
-    queues: Vec<Arc<WorkQueue>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    mask: usize,
-}
-
-impl Executor {
-    fn start(service: &Arc<PmoService>, tracer: Option<Arc<TraceRecorder>>) -> Self {
-        let shards = service.shard_count();
-        let mut queues = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let q = Arc::new(WorkQueue::new());
-            let svc = Arc::clone(service);
-            let tr = tracer.clone();
-            let worker_q = Arc::clone(&q);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("terp-net-exec-{i}"))
-                    .spawn(move || loop {
-                        let batch = worker_q.take_batch();
-                        if batch.is_empty() {
-                            return;
-                        }
-                        for job in batch {
-                            let resp = execute(
-                                &svc,
-                                tr.as_deref(),
-                                job.conn,
-                                job.req_id,
-                                job.client,
-                                &job.req,
-                            );
-                            let _ = job.tx.send((job.req_id, resp));
-                        }
-                    })
-                    .expect("spawn executor worker"),
-            );
-            queues.push(q);
-        }
-        Executor {
-            queues,
-            workers: Mutex::new(workers),
-            mask: shards - 1,
-        }
-    }
-
-    /// Routes by the op's pool id (the service's `raw & mask` rule);
-    /// pool-less ops (create, ping) spread by connection id.
-    fn submit(&self, job: Job) {
-        let idx = match &job.req {
-            Request::Attach { pmo, .. } | Request::Detach { pmo } | Request::Alloc { pmo, .. } => {
-                pmo.raw() as usize & self.mask
-            }
-            Request::Read { oid, .. } | Request::Write { oid, .. } | Request::Free { oid } => {
-                oid.pmo().raw() as usize & self.mask
-            }
-            _ => job.conn as usize & self.mask,
-        };
-        self.queues[idx].push(job);
-    }
-
-    /// Drains every queue (queued jobs still execute and respond) and joins
-    /// the workers. Idempotent.
-    fn stop(&self) {
-        for q in &self.queues {
-            q.stop();
-        }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
-        for w in handles {
-            let _ = w.join();
-        }
+        self.0.cv.notify_all();
     }
 }
 
 /// Executes one request against the service, mapping the result onto the
-/// wire response. Runs on an executor worker or a dedicated blocking-attach
-/// thread — never on a network reader thread.
+/// wire response.
 fn execute(
     service: &PmoService,
     tracer: Option<&TraceRecorder>,
@@ -259,7 +142,6 @@ fn execute(
 struct Shared {
     service: Arc<PmoService>,
     tracer: Option<Arc<TraceRecorder>>,
-    exec: Executor,
     stopping: AtomicBool,
     conns: Mutex<Vec<Conn>>,
     next_conn: AtomicU32,
@@ -267,12 +149,11 @@ struct Shared {
 
 struct Conn {
     stream: TcpStream,
-    reader: JoinHandle<()>,
-    writer: JoinHandle<()>,
+    thread: JoinHandle<()>,
 }
 
 /// The network front-end: owns the in-process [`PmoServer`], the listener,
-/// and every connection's threads. [`NetServer::shutdown`] drains in an
+/// and every connection's thread. [`NetServer::shutdown`] drains in an
 /// order that guarantees every request already decoded gets a response
 /// (typically [`ServiceError::ShuttingDown`]) before its socket closes.
 pub struct NetServer {
@@ -294,11 +175,9 @@ impl NetServer {
         let local = listener.local_addr()?;
         let service = server.service();
         let tracer = service.tracer().cloned();
-        let exec = Executor::start(&service, tracer.clone());
         let shared = Arc::new(Shared {
             service,
             tracer,
-            exec,
             stopping: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             next_conn: AtomicU32::new(1),
@@ -340,10 +219,11 @@ impl NetServer {
     ///
     /// Ordering matters: shutdown begins *service-side first* (parked
     /// Basic-semantics attaches wake with [`ServiceError::ShuttingDown`]),
-    /// then the accept loop stops, readers are unblocked via read-half
-    /// shutdown, the executor drains its queues, and writers flush every
-    /// pending response before the sockets close — a client mid-request
-    /// sees an error response, never a silently hung socket.
+    /// then the accept loop stops and connection threads are unblocked via
+    /// read-half shutdown. Each connection thread sends what it has
+    /// executed and waits for its parked attaches to write their responses
+    /// before its socket closes — a client mid-request sees an error
+    /// response, never a silently hung socket.
     pub fn shutdown(mut self) -> ServiceReport {
         self.stop_net();
         self.server.take().expect("server present").shutdown()
@@ -363,25 +243,13 @@ impl NetServer {
         }
         let conns =
             std::mem::take(&mut *self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()));
-        // Close read halves so readers see EOF and stop submitting.
+        // Close read halves so connection threads see EOF; each then waits
+        // for its parked attaches and closes its socket.
         for c in &conns {
             let _ = c.stream.shutdown(Shutdown::Read);
         }
-        let mut writers = Vec::with_capacity(conns.len());
         for c in conns {
-            let _ = c.reader.join();
-            writers.push((c.stream, c.writer));
-        }
-        // No submitter remains; drain the shard queues (queued ops still
-        // execute, returning ShuttingDown from the service) and join the
-        // workers.
-        self.shared.exec.stop();
-        // Writers exit once every response sender is dropped (readers are
-        // joined, workers stopped, blocking attaches woken by shutdown) —
-        // and they flush every pending response first.
-        for (stream, writer) in writers {
-            let _ = writer.join();
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = c.thread.join();
         }
     }
 }
@@ -406,27 +274,26 @@ fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (tx, rx) = channel::<(u64, Response)>();
-    let gate = Arc::new(Gate::new());
-    let reader_shared = Arc::clone(shared);
-    let reader_gate = Arc::clone(&gate);
-    let reader = std::thread::Builder::new()
-        .name(format!("terp-net-read-{conn_id}"))
-        .spawn(move || reader_loop(reader_shared, conn_id, read_half, tx, reader_gate))
-        .expect("spawn reader");
-    let writer = std::thread::Builder::new()
-        .name(format!("terp-net-write-{conn_id}"))
-        .spawn(move || writer_loop(write_half, rx, gate))
-        .expect("spawn writer");
+    let conn_shared = Arc::clone(shared);
+    let thread = std::thread::Builder::new()
+        .name(format!("terp-net-conn-{conn_id}"))
+        .spawn(move || {
+            let out = Arc::new(Mutex::new(write_half));
+            let gate = Arc::new(Gate::new());
+            conn_loop(&conn_shared, conn_id, read_half, &out, &gate);
+            // Every decoded request gets its response before the close.
+            gate.wait_idle();
+            let _ = out
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .shutdown(Shutdown::Both);
+        })
+        .expect("spawn connection thread");
     shared
         .conns
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .push(Conn {
-            stream,
-            reader,
-            writer,
-        });
+        .push(Conn { stream, thread });
 }
 
 /// Whether `scheme` can park an attach on a conflicting holder — those run
@@ -435,20 +302,34 @@ fn attach_can_block(scheme: Scheme) -> bool {
     matches!(scheme, Scheme::Merr | Scheme::BasicSemantics)
 }
 
-fn reader_loop(
-    shared: Arc<Shared>,
+/// Appends one response frame to the connection's output buffer.
+fn push_response(buf: &mut Vec<u8>, req_id: u64, resp: &Response) {
+    buf.extend_from_slice(&encode_frame(&resp.encode(req_id)));
+}
+
+/// Sends and clears `buf` in one `write_all` under the write mutex.
+fn send(out: &Mutex<TcpStream>, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    if buf.is_empty() {
+        return Ok(());
+    }
+    let r = out.lock().unwrap_or_else(|e| e.into_inner()).write_all(buf);
+    buf.clear();
+    r
+}
+
+/// Reads, decodes and executes one connection's requests until EOF, a
+/// socket error, or a protocol violation (answered, then fatal).
+fn conn_loop(
+    shared: &Shared,
     conn: u32,
     mut sock: TcpStream,
-    tx: Sender<(u64, Response)>,
-    gate: Arc<Gate>,
+    out: &Arc<Mutex<TcpStream>>,
+    gate: &Arc<Gate>,
 ) {
     let mut dec = FrameDecoder::new();
     let mut buf = vec![0u8; 16 * 1024];
+    let mut resp = Vec::new();
     let mut client: Option<ClientId> = None;
-    let fatal = |tx: &Sender<(u64, Response)>, gate: &Gate, req_id: u64, e: ServiceError| {
-        gate.acquire();
-        let _ = tx.send((req_id, Response::Err(e)));
-    };
     loop {
         let n = match sock.read(&mut buf) {
             Ok(0) => return,
@@ -458,124 +339,130 @@ fn reader_loop(
         };
         dec.push(&buf[..n]);
         loop {
-            let payload = match dec.next_frame() {
-                Ok(Some(p)) => p,
+            let (req_id, req) = match dec.next_frame() {
+                Ok(Some(p)) => match Request::decode(&p) {
+                    Ok((0, _)) => (
+                        0,
+                        Err(ServiceError::Protocol("request id 0 is reserved".into())),
+                    ),
+                    Ok((id, req)) => (id, Ok(req)),
+                    Err(e) => (0, Err(e)),
+                },
                 Ok(None) => break,
+                Err(e) => (0, Err(ServiceError::Protocol(e.to_string()))),
+            };
+            let req = match req {
+                Ok(req) => req,
                 Err(e) => {
-                    fatal(&tx, &gate, 0, ServiceError::Protocol(e.to_string()));
+                    push_response(&mut resp, req_id, &Response::Err(e));
+                    let _ = send(out, &mut resp);
                     return;
                 }
             };
-            let (req_id, req) = match Request::decode(&payload) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    fatal(&tx, &gate, 0, e);
-                    return;
-                }
-            };
-            if req_id == 0 {
-                fatal(
-                    &tx,
-                    &gate,
-                    0,
-                    ServiceError::Protocol("request id 0 is reserved".to_string()),
-                );
-                return;
-            }
             if let Some(t) = &shared.tracer {
                 t.record(EventKind::NetRecv { conn, req: req_id });
             }
-            let Some(client_id) = client else {
+            // A refused handshake or a duplicate hello is answered, then the
+            // stream closes.
+            let (reply, fatal) = match (client, req) {
                 // First message must be the handshake.
-                match req {
+                (
+                    None,
                     Request::Hello {
                         magic,
                         version,
                         client: c,
-                    } if magic == MAGIC && version == VERSION => {
-                        client = Some(c as ClientId);
-                        gate.acquire();
-                        let _ = tx.send((
-                            req_id,
-                            Response::Hello {
-                                version: VERSION,
-                                scheme: shared.service.scheme().to_string(),
-                                shards: shared.service.shard_count() as u16,
-                            },
-                        ));
-                    }
-                    Request::Hello { magic, version, .. } => {
-                        fatal(
-                            &tx,
-                            &gate,
-                            req_id,
-                            ServiceError::Protocol(format!(
-                                "handshake mismatch: magic {magic:#010x} version {version} \
-                                 (want {MAGIC:#010x} version {VERSION})"
-                            )),
-                        );
+                    },
+                ) if magic == MAGIC && version == VERSION => {
+                    client = Some(c as ClientId);
+                    let hello = Response::Hello {
+                        version: VERSION,
+                        scheme: shared.service.scheme().to_string(),
+                        shards: shared.service.shard_count() as u16,
+                    };
+                    (hello, false)
+                }
+                (None, Request::Hello { magic, version, .. }) => (
+                    protocol_err(format!(
+                        "handshake mismatch: magic {magic:#010x} version {version} \
+                         (want {MAGIC:#010x} version {VERSION})"
+                    )),
+                    true,
+                ),
+                (None, _) => (protocol_err("first message must be hello".into()), true),
+                (Some(_), Request::Hello { .. }) => (protocol_err("duplicate hello".into()), true),
+                (Some(client_id), req @ Request::Attach { .. })
+                    if attach_can_block(shared.service.scheme()) =>
+                {
+                    // Send what is buffered first: the park may wait on the
+                    // gate, and the client may need those responses before
+                    // it releases the window the attach waits for.
+                    if send(out, &mut resp).is_err() {
                         return;
                     }
-                    _ => {
-                        fatal(
-                            &tx,
-                            &gate,
-                            req_id,
-                            ServiceError::Protocol("first message must be hello".to_string()),
-                        );
-                        return;
+                    match park_attach(shared, conn, req_id, client_id, req, out, gate) {
+                        Some(r) => (r, false),
+                        None => continue,
                     }
                 }
-                continue;
+                (Some(client_id), req) => {
+                    let tracer = shared.tracer.as_deref();
+                    let r = execute(&shared.service, tracer, conn, req_id, client_id, &req);
+                    (r, false)
+                }
             };
-            if matches!(req, Request::Hello { .. }) {
-                fatal(
-                    &tx,
-                    &gate,
-                    req_id,
-                    ServiceError::Protocol("duplicate hello".to_string()),
-                );
+            push_response(&mut resp, req_id, &reply);
+            if fatal {
+                let _ = send(out, &mut resp);
                 return;
             }
-            gate.acquire();
-            let blocking_attach =
-                matches!(req, Request::Attach { .. }) && attach_can_block(shared.service.scheme());
-            if blocking_attach {
-                // A parked attach must block only its own request: run it on
-                // a dedicated thread so this reader keeps decoding and later
-                // pipelined ops can complete first.
-                let svc = Arc::clone(&shared.service);
-                let tr = shared.tracer.clone();
-                let op_tx = tx.clone();
-                let _ = std::thread::Builder::new()
-                    .name(format!("terp-net-attach-{conn}-{req_id}"))
-                    .spawn(move || {
-                        let resp = execute(&svc, tr.as_deref(), conn, req_id, client_id, &req);
-                        let _ = op_tx.send((req_id, resp));
-                    });
-            } else {
-                shared.exec.submit(Job {
-                    conn,
-                    req_id,
-                    client: client_id,
-                    req,
-                    tx: tx.clone(),
-                });
+            if resp.len() >= FLUSH_BYTES && send(out, &mut resp).is_err() {
+                return;
             }
+        }
+        if send(out, &mut resp).is_err() {
+            return;
         }
     }
 }
 
-fn writer_loop(mut sock: TcpStream, rx: Receiver<(u64, Response)>, gate: Arc<Gate>) {
-    let mut broken = false;
-    while let Ok((req_id, resp)) = rx.recv() {
-        if !broken {
-            let frame = encode_frame(&resp.encode(req_id));
-            broken = sock.write_all(&frame).is_err();
-        }
-        // Release even on a broken socket so a reader blocked on the gate
-        // can notice the connection died instead of parking forever.
-        gate.release();
+/// Runs a blocking-capable attach on its own thread, which writes the
+/// response itself; returns `None` once that thread owns the request. When
+/// the thread cannot be spawned (its permit drops with the closure) the
+/// attach runs here instead and its response is returned, so the request
+/// is still answered.
+fn park_attach(
+    shared: &Shared,
+    conn: u32,
+    req_id: u64,
+    client: ClientId,
+    req: Request,
+    out: &Arc<Mutex<TcpStream>>,
+    gate: &Arc<Gate>,
+) -> Option<Response> {
+    let permit = gate.acquire();
+    let svc = Arc::clone(&shared.service);
+    let tr = shared.tracer.clone();
+    let out = Arc::clone(out);
+    let parked = req.clone();
+    let spawned = std::thread::Builder::new()
+        .name(format!("terp-net-attach-{conn}-{req_id}"))
+        .spawn(move || {
+            let resp = execute(&svc, tr.as_deref(), conn, req_id, client, &parked);
+            let mut buf = Vec::new();
+            push_response(&mut buf, req_id, &resp);
+            // A failed send leaves the connection thread to notice the dead
+            // socket.
+            let _ = send(&out, &mut buf);
+            drop(permit);
+        });
+    if spawned.is_ok() {
+        return None;
     }
-    let _ = sock.shutdown(Shutdown::Both);
+    let tracer = shared.tracer.as_deref();
+    Some(execute(&shared.service, tracer, conn, req_id, client, &req))
+}
+
+fn protocol_err(msg: String) -> Response {
+    Response::Err(ServiceError::Protocol(msg))
 }

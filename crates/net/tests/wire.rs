@@ -2,7 +2,8 @@
 //! must survive the network boundary. A parked attach blocks its *request*,
 //! never the connection; a drained server answers in-flight requests with
 //! `ShuttingDown` instead of a hung socket; and the request lifecycle shows
-//! up as `NetRecv -> NetExec` happens-before edges in the trace.
+//! up as `NetRecv -> NetExec` happens-before edges in the trace. A client
+//! that stops reading stalls only its own connection.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -222,4 +223,108 @@ fn request_lifecycle_appears_as_hb_edges_in_the_trace() {
     let report = terp_analysis::hb::check_trace(&set);
     assert_eq!(report.stats.races(), 0, "{:?}", report.diagnostics);
     assert!(report.stats.events > 0);
+}
+
+#[test]
+fn stalled_client_stalls_only_itself() {
+    use std::io::Write;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use terp_net::server::MAX_INFLIGHT;
+    use terp_net::{encode_frame, Request};
+
+    const OBJ: u32 = 64 * 1024;
+    // A's responses total ROUNDS MiB, far more than loopback socket buffers
+    // hold, so A's connection must stall long before its last round.
+    const ROUNDS: u64 = 64;
+    const READS_PER_ROUND: usize = 16;
+    assert!(ROUNDS as usize * READS_PER_ROUND > MAX_INFLIGHT);
+
+    let net = net_server(Scheme::terp_full());
+    let addr = net.local_addr();
+    let b = Client::connect(addr, 2).expect("connect B");
+    let pmo = b
+        .create_pool("stall", 1 << 20, OpenMode::ReadWrite)
+        .expect("create");
+    b.attach(pmo, Permission::ReadWrite).expect("attach B");
+    let big = b.alloc(pmo, u64::from(OBJ)).expect("alloc big");
+    let progress = b.alloc(pmo, 8).expect("alloc progress");
+    b.write(progress, &0u64.to_le_bytes())
+        .expect("write progress");
+
+    // A: hello, attach, then rounds of 16 reads of 64 KiB, each round
+    // followed by a write of its number to `progress` — and A never reads a
+    // response.
+    let mut a = std::net::TcpStream::connect(addr).expect("connect A");
+    let mut reqs = vec![
+        Request::Hello {
+            magic: terp_net::MAGIC,
+            version: terp_net::VERSION,
+            client: 1,
+        },
+        Request::Attach {
+            pmo,
+            perm: Permission::ReadWrite,
+        },
+    ];
+    for round in 1..=ROUNDS {
+        reqs.extend((0..READS_PER_ROUND).map(|_| Request::Read { oid: big, len: OBJ }));
+        reqs.push(Request::Write {
+            oid: progress,
+            data: round.to_le_bytes().to_vec(),
+        });
+    }
+    let bytes: Vec<u8> = (1u64..)
+        .zip(&reqs)
+        .flat_map(|(id, r)| encode_frame(&r.encode(id)))
+        .collect();
+    a.write_all(&bytes).expect("A pipelines its requests");
+
+    // B waits until A's progress stops short of the end (A's connection is
+    // blocked sending), then runs sync ops, each within a bound. The ops
+    // run on their own thread so a stalled B fails the test, not hangs it.
+    let (tx, rx) = channel();
+    let b2 = b.clone();
+    let ops = std::thread::spawn(move || {
+        let read_progress =
+            || u64::from_le_bytes(b2.read(progress, 8).expect("read").try_into().unwrap());
+        loop {
+            let k = read_progress();
+            std::thread::sleep(Duration::from_millis(50));
+            if k > 0 && read_progress() == k {
+                break;
+            }
+            tx.send(()).expect("report progress");
+        }
+        for i in 0..200u8 {
+            b2.ping().expect("ping");
+            b2.write(big, &[i; 16]).expect("write");
+            assert_eq!(b2.read(big, 16).expect("read"), [i; 16]);
+            tx.send(()).expect("report progress");
+        }
+        read_progress()
+    });
+    loop {
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => panic!("B's ops stalled behind A"),
+        }
+    }
+    let stuck_at = ops.join().expect("B's ops");
+    assert!(
+        stuck_at < ROUNDS,
+        "A never stalled: all {ROUNDS} rounds ran"
+    );
+
+    // Dropping A frees its connection thread, so shutdown returns.
+    drop(a);
+    drop(b);
+    let (done_tx, done_rx) = channel();
+    std::thread::spawn(move || {
+        net.shutdown();
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("shutdown hung after the stalled client left");
 }

@@ -83,13 +83,18 @@ mod tests {
 
     #[test]
     fn sweeper_expires_windows_without_manual_sweeps() {
-        let config = ServiceConfig::for_tests(Scheme::terp_full()).with_sweep_period_us(200);
+        // A 20 ms EW target keeps the window open past the detach, so only
+        // the background sweep can close it.
+        let config = ServiceConfig::for_tests(Scheme::terp_full())
+            .with_ew_target_us(20_000)
+            .with_sweep_period_us(200);
         let svc = Arc::new(PmoService::new(config));
         let sweeper = Sweeper::spawn(Arc::clone(&svc), 200);
 
         let p = svc.create_pool("a", 1 << 16, OpenMode::ReadWrite).unwrap();
         svc.attach(0, p, Permission::ReadWrite).unwrap();
         svc.detach(0, p).unwrap(); // delayed: EW still open
+        assert!(svc.process_can(p, AccessKind::Read), "detach closed early");
 
         // Poll (bounded) until the background sweep closes the window.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
